@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from .duplication import DuplicationSpec, duplicate, half, sum_violation
 from .errors import BoundTooSmall, HypothesisViolated, IsNaturals, NotAlmostSymmetric
@@ -98,16 +97,35 @@ def _base_context(s: NumericalSemigroup):
     return k, m, mm, k - mm
 
 
+def _odd_ideal_conditions(s: NumericalSemigroup, e: RelativeIdeal):
+    """Yield the conditions of the odd-type check that depend on E alone.
+
+    First the sandwich K - (M - M) <= tilde(E) <= K, which is cheap, then
+    whether K - tilde(E) is a numerical semigroup.  Lazy, so ``all`` stops
+    at the first failure.
+    """
+    k, _, _, kmm = _base_context(s)
+    tilde = e.tilde()
+    yield kmm <= tilde and tilde <= k
+    yield is_numerical_semigroup_set(k - tilde)
+
+
+def _odd_offset_condition(s: NumericalSemigroup, e: RelativeIdeal, b: int) -> bool:
+    """The offset condition b + shift + E + K <= M, shift = f(E) - f(S)."""
+    k, m, _, _ = _base_context(s)
+    shift = e.frobenius - s.frobenius
+    return (e + k).translate(b + shift) <= m
+
+
 def odd_necessary_conditions(spec: DuplicationSpec) -> OddConditionReport:
     """Evaluate the three necessary conditions for an odd-type double."""
     s, e, b = spec.base, spec.ideal, spec.odd_offset
-    k, _, _, kmm = _base_context(s)
-    tilde = e.tilde()
+    sandwich, dual_is_semigroup = _odd_ideal_conditions(s, e)
     f_t = max(2 * s.frobenius, 2 * e.frobenius + b)
     return OddConditionReport(
         frobenius_matches=(f_t == 2 * e.frobenius + b),
-        sandwich=(kmm <= tilde and tilde <= k),
-        dual_is_semigroup=is_numerical_semigroup_set(k - tilde),
+        sandwich=sandwich,
+        dual_is_semigroup=dual_is_semigroup,
     )
 
 
@@ -118,11 +136,25 @@ def odd_double_check(spec: DuplicationSpec) -> bool:
     offset + shift + E + K <= M, where shift = f(E) - f(S).
     """
     s, e, b = spec.base, spec.ideal, spec.odd_offset
-    if not odd_necessary_conditions(spec).all_hold:
-        return False
+    return odd_necessary_conditions(spec).all_hold and _odd_offset_condition(s, e, b)
+
+
+def _even_ideal_part(s: NumericalSemigroup, e: RelativeIdeal):
+    """The part of the even-type check that depends on E alone.
+
+    None when K <= E - E fails, else the pair (M - E, E - M) that the offset
+    condition compares.  Assumes ``s`` is almost symmetric.
+    """
     k, m, _, _ = _base_context(s)
-    shift = e.frobenius - s.frobenius
-    return (e + k).translate(b + shift) <= m
+    if not k <= (e - e):
+        return None
+    return m - e, e - m
+
+
+def _even_offset_condition(part, b: int) -> bool:
+    """The offset condition M - E <= (E - M) + b, from ``_even_ideal_part``."""
+    m_minus_e, e_minus_m = part
+    return m_minus_e <= e_minus_m.translate(b)
 
 
 def even_double_check(spec: DuplicationSpec) -> bool:
@@ -140,8 +172,8 @@ def even_double_check(spec: DuplicationSpec) -> bool:
         )
     if not classify(s).almost_symmetric:
         return False
-    k, m, _, _ = _base_context(s)
-    return (m - e) <= (e - m).translate(b) and k <= (e - e)
+    part = _even_ideal_part(s, e)
+    return part is not None and _even_offset_condition(part, b)
 
 
 # -- search space -------------------------------------------------------------
@@ -151,32 +183,35 @@ def even_double_check(spec: DuplicationSpec) -> bool:
 def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal, ...]:
     """All relative ideals of ``s`` with smallest element 0 and Frobenius ``fe``.
 
-    Such an ideal contains S, so it is S plus a selection of gaps below fe
-    (fe itself must be a gap, else there are none).  Results come sorted by
-    their element lists; fe values that admit no ideal yield the empty tuple.
+    Such an ideal is S plus a set X of gaps below fe (fe itself must be a
+    gap, else there are none).  A gap g can join X only when fe - g is not
+    in S, and X must be an up-set of those gaps under g <= h iff h - g is in
+    S; it is enough to close X under the minimal generators.  The walk takes
+    the eligible gaps in decreasing order and extends every selection made
+    so far by g exactly when the gaps g + generator below fe are already
+    chosen.  Every selection extends to at least one ideal, so the cost grows
+    with the number of ideals times the number of eligible gaps, not with
+    2^(gaps below fe).  Results come sorted by their element lists; fe values
+    that admit no ideal yield the empty tuple.
     """
     if fe == -1:
         return (naturals_ideal(s),)
     if fe < 1 or fe in s:
         return ()
     base = s.members_below(fe)
-    free = [g for g in s.gaps if g < fe]
-    gens = s.minimal_generators
-    out = []
-    for r in range(len(free) + 1):
-        for extra in combinations(free, r):
-            members = set(base) | set(extra)
-            ok = True
-            for e in members:
-                for g in gens:
-                    t = e + g
-                    if t <= fe and t not in members:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(RelativeIdeal(s, tuple(sorted(members)), fe + 1))
+    free = [g for g in s.gaps if g < fe and (fe - g) not in s]
+    chosen = [0]  # bitmasks over the gaps selected so far
+    for g in reversed(free):
+        # g + a below fe and outside S is an eligible gap larger than g
+        need = 0
+        for a in s.minimal_generators:
+            if g + a < fe and (g + a) not in s:
+                need |= 1 << (g + a)
+        chosen += [c | 1 << g for c in chosen if c & need == need]
+    out = [
+        RelativeIdeal(s, tuple(sorted(base + [g for g in free if c >> g & 1])), fe + 1)
+        for c in chosen
+    ]
     out.sort(key=lambda e: e.elements_below)
     return tuple(out)
 
@@ -245,17 +280,20 @@ def enumerate_odd_doubles(s: NumericalSemigroup, max_frobenius: int) -> DoubleFa
     if max_frobenius < 2 * f + 1:
         raise BoundTooSmall(f"bound must be at least {2 * f + 1}")
     found: dict = {}
+    ideal_holds: dict = {}  # ideal -> whether its E-only conditions hold
     for f_t in range(2 * f + 1, max_frobenius + 1, 2):
         for fe in (-1, *s.gaps):
             b = f_t - 2 * fe
             if b < 1 or b not in s:
                 continue
             for e in ideals_with_frobenius(s, fe):
-                if sum_violation(s, e, b) is not None:
+                if e not in ideal_holds:
+                    ideal_holds[e] = all(_odd_ideal_conditions(s, e))
+                # f(T) = 2 f(E) + b > 2 f(S) holds by the choice of f_t
+                if not ideal_holds[e] or sum_violation(s, e, b) is not None:
                     continue
-                spec = DuplicationSpec(s, e, b)
-                if odd_double_check(spec):
-                    _collect(found, spec, KIND_ODD)
+                if _odd_offset_condition(s, e, b):
+                    _collect(found, DuplicationSpec(s, e, b), KIND_ODD)
     return _family(s, found, False)
 
 
@@ -271,6 +309,7 @@ def enumerate_even_doubles(s: NumericalSemigroup) -> DoubleFamily:
         return DoubleFamily(s, (), True)
     f = s.frobenius
     found: dict = {}
+    parts: dict = {}  # ideal -> its _even_ideal_part
     for b in range(3, 2 * f + 2, 2):
         if b not in s:
             continue
@@ -278,11 +317,13 @@ def enumerate_even_doubles(s: NumericalSemigroup) -> DoubleFamily:
             if 2 * fe + b >= 2 * f:
                 continue
             for e in ideals_with_frobenius(s, fe):
-                if sum_violation(s, e, b) is not None:
+                if e not in parts:
+                    parts[e] = _even_ideal_part(s, e)
+                part = parts[e]
+                if part is None or sum_violation(s, e, b) is not None:
                     continue
-                spec = DuplicationSpec(s, e, b)
-                if even_double_check(spec):
-                    _collect(found, spec, KIND_EVEN)
+                if _even_offset_condition(part, b):
+                    _collect(found, DuplicationSpec(s, e, b), KIND_EVEN)
     return _family(s, found, True)
 
 

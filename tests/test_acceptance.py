@@ -247,6 +247,30 @@ def test_criterion_5_theorem_equivalences():
                 assert (rep.type % 2) == (rep.frobenius % 2), s
 
 
+def test_criterion_5b_enumerators_match_public_checks():
+    # the enumerators evaluate each check in a per-ideal part and a per-offset
+    # part; filtering the sweep through the public checks must give the same
+    # doubles, each certified by its smallest (offset, ideal) spec
+    with criterion("5b (enumerators agree with the public checks)", budget_seconds=300.0):
+        odd, even = {}, {}
+        for spec, t, _ in sweep():
+            s, e, b = spec.base, spec.ideal, spec.odd_offset
+            key = (b, e.elements_below)
+            accepted = [odd] if odd_double_check(spec) else []
+            if 2 * s.frobenius > 2 * e.frobenius + b and even_double_check(spec):
+                accepted.append(even)
+            for found in accepted:
+                mine = found.setdefault(s, {})
+                mine[t] = min(mine.get(t, key), key)
+        assert odd and even
+        for s in _semigroups_up_to(9):
+            for found, fam in ((odd, enumerate_odd_doubles(s, 2 * s.frobenius + 9)),
+                               (even, enumerate_even_doubles(s))):
+                got = {c.double: (c.spec.odd_offset, c.spec.ideal.elements_below)
+                       for c in fam.members}
+                assert got == found.get(s, {}), s
+
+
 def test_criterion_6_oracle_equality():
     with criterion("6 (enumerators equal the brute-force oracle)", budget_seconds=600.0):
         even, odd = oracle_families()

@@ -140,9 +140,29 @@ def test_usage_error_unknown_command(capsys):
 
 
 def test_verify_small(capsys):
-    code, out, _ = run(capsys, "verify", "--max-frobenius", "5")
+    code, out, err = run(capsys, "verify", "--max-frobenius", "5")
     assert code == 0
     assert "all checks passed" in out
+    assert err == ""  # no check is capped below 5
+
+
+@pytest.mark.parametrize("bound", ["-5", "0"])
+def test_verify_rejects_bound_below_one(capsys, bound):
+    code, out, err = run(capsys, "verify", "--max-frobenius", bound)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "--max-frobenius" in err
+
+
+def test_verify_reports_capped_checks_on_stderr(capsys):
+    code, out, err = run(capsys, "verify", "--max-frobenius", "7")
+    assert code == 0
+    assert err.splitlines() == [
+        "note: theorem-checkers runs at --max-frobenius 6",
+        "note: families-vs-oracle runs at --max-frobenius 6",
+    ]
+    assert "note:" not in out
+    assert out.splitlines()[-1] == "all checks passed"
 
 
 def test_verify_json(capsys):

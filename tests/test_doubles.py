@@ -218,12 +218,14 @@ class TestHalfTypeReport:
 
 
 def test_ideals_with_frobenius_matches_oracle():
-    for s in (S1, S2, ST1):
-        for fe in (-1, 1, 2, 3, 4, 5):
-            if fe == 0:
-                continue
+    # every S with f(S) <= 9, at every gap and at the non-gaps below f(S),
+    # where both sides must be empty
+    bases = [s for f in (-1, *range(1, 10)) for s in oracle.enum_semigroups_with_frobenius(f)]
+    assert len(bases) == 58
+    for s in bases:
+        for fe in (-1, *range(1, s.frobenius + 1)):
             kernel = list(ideals_with_frobenius(s, fe))
-            assert kernel == oracle.enum_relative_ideals(s, fe)
+            assert kernel == oracle.enum_relative_ideals(s, fe), (s, fe)
 
 
 def test_certificates_are_consistent():
