@@ -280,19 +280,17 @@ def enumerate_odd_doubles(s: NumericalSemigroup, max_frobenius: int) -> DoubleFa
     if max_frobenius < 2 * f + 1:
         raise BoundTooSmall(f"bound must be at least {2 * f + 1}")
     found: dict = {}
-    ideal_holds: dict = {}  # ideal -> whether its E-only conditions hold
-    for f_t in range(2 * f + 1, max_frobenius + 1, 2):
-        for fe in (-1, *s.gaps):
-            b = f_t - 2 * fe
-            if b < 1 or b not in s:
+    for fe in (-1, *s.gaps):
+        # 2 f(S) < f(T) = 2 f(E) + b <= max_frobenius
+        lowest = max(1, 2 * f + 1 - 2 * fe)
+        offsets = [b for b in range(lowest, max_frobenius - 2 * fe + 1, 2) if b in s]
+        if not offsets:
+            continue
+        for e in ideals_with_frobenius(s, fe):
+            if not all(_odd_ideal_conditions(s, e)):
                 continue
-            for e in ideals_with_frobenius(s, fe):
-                if e not in ideal_holds:
-                    ideal_holds[e] = all(_odd_ideal_conditions(s, e))
-                # f(T) = 2 f(E) + b > 2 f(S) holds by the choice of f_t
-                if not ideal_holds[e] or sum_violation(s, e, b) is not None:
-                    continue
-                if _odd_offset_condition(s, e, b):
+            for b in offsets:
+                if sum_violation(s, e, b) is None and _odd_offset_condition(s, e, b):
                     _collect(found, DuplicationSpec(s, e, b), KIND_ODD)
     return _family(s, found, False)
 
@@ -309,20 +307,17 @@ def enumerate_even_doubles(s: NumericalSemigroup) -> DoubleFamily:
         return DoubleFamily(s, (), True)
     f = s.frobenius
     found: dict = {}
-    parts: dict = {}  # ideal -> its _even_ideal_part
-    for b in range(3, 2 * f + 2, 2):
-        if b not in s:
+    for fe in (-1, *s.gaps):
+        # 2 f(E) + b < 2 f(S)
+        offsets = [b for b in range(3, 2 * f - 2 * fe, 2) if b in s]
+        if not offsets:
             continue
-        for fe in (-1, *s.gaps):
-            if 2 * fe + b >= 2 * f:
+        for e in ideals_with_frobenius(s, fe):
+            part = _even_ideal_part(s, e)
+            if part is None:
                 continue
-            for e in ideals_with_frobenius(s, fe):
-                if e not in parts:
-                    parts[e] = _even_ideal_part(s, e)
-                part = parts[e]
-                if part is None or sum_violation(s, e, b) is not None:
-                    continue
-                if _even_offset_condition(part, b):
+            for b in offsets:
+                if sum_violation(s, e, b) is None and _even_offset_condition(part, b):
                     _collect(found, DuplicationSpec(s, e, b), KIND_EVEN)
     return _family(s, found, True)
 

@@ -218,10 +218,11 @@ class TestHalfTypeReport:
 
 
 def test_ideals_with_frobenius_matches_oracle():
-    # every S with f(S) <= 9, at every gap and at the non-gaps below f(S),
-    # where both sides must be empty
+    # every S with f(S) <= 9, plus ST1 (f = 13), at every gap and at the
+    # non-gaps below f(S), where both sides must be empty
     bases = [s for f in (-1, *range(1, 10)) for s in oracle.enum_semigroups_with_frobenius(f)]
     assert len(bases) == 58
+    bases.append(ST1)
     for s in bases:
         for fe in (-1, *range(1, s.frobenius + 1)):
             kernel = list(ideals_with_frobenius(s, fe))
