@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .duplication import DuplicationSpec, duplicate, half, sum_violation
-from .errors import BoundTooSmall, HypothesisViolated, IsNaturals, NotAlmostSymmetric
+from .duplication import DuplicationSpec, duplicate, half
+from .errors import BoundTooSmall, HypothesisViolated, IsNaturals, NotAlmostSymmetric, SumNotInS
 from .ideals import (
     RelativeIdeal,
     canonical_ideal,
@@ -52,11 +52,6 @@ class DoubleFamily:
     base: NumericalSemigroup
     members: tuple[DoubleCertificate, ...]
     exhaustive: bool
-
-
-def _certificate(spec: DuplicationSpec, kind: str) -> DoubleCertificate:
-    t = duplicate(spec)
-    return DoubleCertificate(t, spec, classify(t), kind)
 
 
 # -- theorem-driven checks ---------------------------------------------------
@@ -216,6 +211,17 @@ def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal
     return tuple(out)
 
 
+def _spec_or_none(s: NumericalSemigroup, e: RelativeIdeal, b: int):
+    """The spec (s, e, b), or None when E + E + b escapes S.
+
+    The spec's own validation is the sum filter, so it runs once.
+    """
+    try:
+        return DuplicationSpec(s, e, b)
+    except SumNotInS:
+        return None
+
+
 def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
     """Yield every valid normalized spec over ``s`` with f(T) <= max_frobenius.
 
@@ -228,16 +234,16 @@ def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
             for b in range(1, max_frobenius - 2 * fe + 1, 2):
                 if b not in s:
                     continue
-                if sum_violation(s, e, b) is not None:
-                    continue
-                yield DuplicationSpec(s, e, b)
+                spec = _spec_or_none(s, e, b)
+                if spec is not None:
+                    yield spec
 
 
 def _collect(found: dict, spec: DuplicationSpec, kind: str) -> None:
     t = duplicate(spec)
     key = (spec.odd_offset, spec.ideal.elements_below)
     if t not in found or key < found[t][0]:
-        found[t] = (key, _certificate(spec, kind))
+        found[t] = (key, DoubleCertificate(t, spec, classify(t), kind))
 
 
 def _family(base: NumericalSemigroup, found: dict, exhaustive: bool) -> DoubleFamily:
@@ -290,8 +296,9 @@ def enumerate_odd_doubles(s: NumericalSemigroup, max_frobenius: int) -> DoubleFa
             if not all(_odd_ideal_conditions(s, e)):
                 continue
             for b in offsets:
-                if sum_violation(s, e, b) is None and _odd_offset_condition(s, e, b):
-                    _collect(found, DuplicationSpec(s, e, b), KIND_ODD)
+                spec = _spec_or_none(s, e, b)
+                if spec is not None and _odd_offset_condition(s, e, b):
+                    _collect(found, spec, KIND_ODD)
     return _family(s, found, False)
 
 
@@ -317,8 +324,9 @@ def enumerate_even_doubles(s: NumericalSemigroup) -> DoubleFamily:
             if part is None:
                 continue
             for b in offsets:
-                if sum_violation(s, e, b) is None and _even_offset_condition(part, b):
-                    _collect(found, DuplicationSpec(s, e, b), KIND_EVEN)
+                spec = _spec_or_none(s, e, b)
+                if spec is not None and _even_offset_condition(part, b):
+                    _collect(found, spec, KIND_EVEN)
     return _family(s, found, True)
 
 

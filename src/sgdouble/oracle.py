@@ -4,8 +4,8 @@ Everything here recomputes from first principles with naive loops over plain
 integer sets, deliberately sharing no set algebra with the kernel modules;
 agreement between the two routes is what the test suite and the CLI verify
 command establish.  The searches are exponential, so hard limits keep them
-at desk scale; the environment variable SGDOUBLE_LIMIT overrides both limits
-at once (intended for tests only).
+at desk scale; the environment variable SGDOUBLE_LIMIT, a positive
+integer, overrides both limits at once (intended for tests only).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from itertools import combinations
 
-from .errors import BoundTooLarge, InvalidFrobenius
+from .errors import BoundTooLarge, InvalidFrobenius, SemigroupError
 from .ideals import RelativeIdeal, naturals_ideal, relative_ideal
 from .semigroup import (
     ALMOST_SYMMETRIC_PROPER,
@@ -32,7 +32,16 @@ DOUBLE_LIMIT = 40
 
 def _limit(default: int) -> int:
     env = os.environ.get("SGDOUBLE_LIMIT")
-    return int(env) if env else default
+    if not env:
+        return default
+    try:
+        limit = int(env)
+    except ValueError:
+        pass
+    else:
+        if limit >= 1:
+            return limit
+    raise SemigroupError(f"SGDOUBLE_LIMIT must be a positive integer, got {env!r}")
 
 
 def _members(s: NumericalSemigroup, hi: int) -> list[int]:

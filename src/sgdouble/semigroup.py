@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import compress
 from typing import Iterable
 
 from .errors import (
@@ -35,6 +36,20 @@ NOT_ALMOST_SYMMETRIC = "none"
 
 #: Accepted values for the ``method`` argument of :func:`classify`.
 CLASSIFY_METHODS = ("definition", "reflection", "pairing", "all")
+
+# binary digits "0"/"1" to the bytes 0/1, so that they select in compress()
+_DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """Ascending positions of the set bits of a nonnegative ``mask``."""
+    flags = bin(mask)[:1:-1].encode("ascii").translate(_DIGIT_TO_FLAG)
+    return tuple(compress(range(len(flags)), flags))
+
+
+def _reverse(mask: int, width: int) -> int:
+    """``mask`` mirrored on [0, width): bit x moves to width - 1 - x."""
+    return int(bin(mask)[2:].zfill(width)[::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -130,6 +145,20 @@ class NumericalSemigroup:
     def _small_set(self) -> frozenset[int]:
         return frozenset(self.small_elements)
 
+    @cached_property
+    def _mask(self) -> int:
+        """Bit x is set for each member x below the conductor."""
+        # digits[x] is the binary digit of 2**x for x in [0, c]; the one at c
+        # stays "0" and keeps the string nonempty for the naturals
+        digits = bytearray(b"0") * (self.conductor + 1)
+        for x in self.small_elements:
+            digits[x] = 49  # ord("1")
+        return int(digits[::-1], 2)
+
+    def _members_mask(self, hi: int) -> int:
+        """Bitmask of the members in [0, hi), for hi >= conductor."""
+        return self._mask | ((1 << hi) - (1 << self.conductor))
+
     def __contains__(self, x: int) -> bool:
         return x >= self.conductor or x in self._small_set
 
@@ -157,28 +186,43 @@ class NumericalSemigroup:
             return self.small_elements[1]
         return self.conductor
 
+    @property
+    def _gap_mask(self) -> int:
+        return self._mask ^ ((1 << self.conductor) - 1)
+
     @cached_property
     def gaps(self) -> tuple[int, ...]:
         """Ascending complement within the naturals."""
-        return tuple(x for x in range(self.conductor) if x not in self._small_set)
+        return _bits(self._gap_mask)
+
+    @cached_property
+    def _second_type_mask(self) -> int:
+        gaps = self._gap_mask
+        return gaps & _reverse(gaps, self.conductor)
 
     @cached_property
     def second_type_gaps(self) -> tuple[int, ...]:
         """Gaps s whose reflection frobenius - s is also a gap."""
-        f = self.frobenius
-        return tuple(s for s in self.gaps if (f - s) not in self)
+        return _bits(self._second_type_mask)
+
+    @cached_property
+    def _pf_mask(self) -> int:
+        # x + s in S for every nonzero s in S already follows from x + g in S
+        # for every minimal generator g.  For a gap x, x + g stays below
+        # c + max(g), so the members window must reach that far.
+        gens = self.minimal_generators
+        members = self._members_mask(self.conductor + gens[-1])
+        pf = self._gap_mask
+        for g in gens:
+            pf &= members >> g
+        return pf
 
     @cached_property
     def pseudo_frobenius(self) -> tuple[int, ...]:
         """Ascending list of x not in S with x + s in S for every nonzero s in S."""
         if self.is_naturals:
             return (-1,)
-        nonzero = [s for s in self.small_elements if s > 0]
-        # sums x + s with s >= conductor land above the Frobenius number, so
-        # only the small nonzero elements need checking.
-        return tuple(
-            x for x in self.gaps if all((x + s) in self for s in nonzero)
-        )
+        return _bits(self._pf_mask)
 
     @property
     def type(self) -> int:
@@ -188,16 +232,14 @@ class NumericalSemigroup:
     @cached_property
     def minimal_generators(self) -> tuple[int, ...]:
         """Unique minimal generating set: nonzero elements not a sum of two."""
-        c, m = self.conductor, self.multiplicity
         # any element > conductor + multiplicity splits off the multiplicity
-        candidates = [x for x in self.small_elements if x > 0]
-        candidates += [x for x in range(c, c + m + 1) if x > 0]
-        gens = []
-        for x in candidates:
-            if any(a in self and (x - a) in self for a in range(m, x // 2 + 1)):
-                continue
-            gens.append(x)
-        return tuple(gens)
+        hi = self.conductor + self.multiplicity + 1
+        nonzero = self._members_mask(hi) & ~1
+        sums = 0
+        # a sum a + b < hi of members 0 < a <= b has a <= hi // 2
+        for a in self.members_below(hi // 2 + 1)[1:]:
+            sums |= nonzero << a
+        return _bits(nonzero & ~sums)
 
     def __str__(self) -> str:
         inner = ", ".join(map(str, self.small_elements + (self.conductor,)))
@@ -246,21 +288,21 @@ class ClassificationReport:
 
 
 def _almost_symmetric_by_definition(s: NumericalSemigroup) -> bool:
-    return set(s.second_type_gaps) <= set(s.pseudo_frobenius)
+    return s._second_type_mask & ~s._pf_mask == 0
 
 
 def _almost_symmetric_by_reflection(s: NumericalSemigroup) -> bool:
     # x in S  <=>  f - x not in S union PF(S), for every nonzero integer x.
-    # Outside [-(c+1), c+1] both sides are constant, so the window suffices.
-    f, c = s.frobenius, s.conductor
-    pf = set(s.pseudo_frobenius)
-    for x in range(-(c + 1), c + 2):
-        if x == 0:
-            continue
-        r = f - x
-        if (x in s) != (r not in s and r not in pf):
-            return False
-    return True
+    # Outside [1, f] both sides agree: for x < 0, x is not in S while f - x
+    # > f is; for x > f, x is in S while f - x < 0 is neither in S nor in
+    # PF(S), whose members are gaps (the naturals' PF = (-1,) would need
+    # x = 0).  On [1, f] the right side is the complement of the mirror
+    # image of S union PF(S) on [0, f], so S and that mirror image must
+    # split [1, f] between them.
+    c = s.conductor
+    mirror = _reverse(s._mask | s._pf_mask, c)
+    window = ((1 << c) - 1) & ~1
+    return (s._mask ^ mirror) & window == window
 
 
 def _almost_symmetric_by_pairing(s: NumericalSemigroup) -> bool:

@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from sgdouble import DuplicationSpec, classify, enumerate_even_doubles, naturals_ideal
 from sgdouble import jsonio
+from sgdouble.errors import SemigroupError
 
 from cases import E2, F2, K1, S1, S2, T1
 
@@ -51,3 +54,34 @@ def test_family_roundtrip():
     fam = enumerate_even_doubles(S1)
     d = through_json(jsonio.family_to_dict(fam))
     assert jsonio.family_from_dict(d) == fam
+
+
+def _malformed_cases():
+    sg = jsonio.semigroup_to_dict(S1)
+    spec = jsonio.spec_to_dict(DuplicationSpec(S2, F2, 5))
+    report = jsonio.report_to_dict(classify(S1))
+    family = jsonio.family_to_dict(enumerate_even_doubles(S1))
+    return [
+        (jsonio.semigroup_from_dict, {"small": [0, 3]}),
+        (jsonio.semigroup_from_dict, {**sg, "conductor": "5"}),
+        (jsonio.semigroup_from_dict, {**sg, "conductor": True}),
+        (jsonio.semigroup_from_dict, {**sg, "small": 3}),
+        (jsonio.semigroup_from_dict, {**sg, "small": "03"}),
+        (jsonio.semigroup_from_dict, {**sg, "small": [0, 3.0]}),
+        (jsonio.semigroup_from_dict, [0, 3]),
+        (jsonio.ideal_from_dict, {**spec["e"], "ambient": None}),
+        (jsonio.ideal_from_dict, {k: v for k, v in spec["e"].items() if k != "elements"}),
+        (jsonio.spec_from_dict, {**spec, "b": "5"}),
+        (jsonio.spec_from_dict, {k: v for k, v in spec.items() if k != "s"}),
+        (jsonio.report_from_dict, {k: v for k, v in report.items() if k != "type"}),
+        (jsonio.report_from_dict, {**report, "gaps": None}),
+        (jsonio.family_from_dict, {**family, "members": {}}),
+        (jsonio.family_from_dict, {**family, "members": [{}]}),
+        (jsonio.family_from_dict, {**family, "exhaustive": "yes"}),
+    ]
+
+
+@pytest.mark.parametrize("decode, data", _malformed_cases())
+def test_malformed_input_raises_domain_error(decode, data):
+    with pytest.raises(SemigroupError, match="malformed JSON"):
+        decode(through_json(data))

@@ -2,7 +2,7 @@ import pytest
 
 from sgdouble import NATURALS, NumericalSemigroup, classify, duplicate, half, witness_even_double
 from sgdouble import oracle
-from sgdouble.errors import BoundTooLarge, InvalidFrobenius
+from sgdouble.errors import BoundTooLarge, InvalidFrobenius, SemigroupError
 
 from cases import D1, D2, D3, E2, E3, E4, S1, S2
 
@@ -36,6 +36,13 @@ def test_limit_env_override(monkeypatch):
         oracle.enum_semigroups_with_frobenius(5)
     monkeypatch.setenv("SGDOUBLE_LIMIT", "22")
     assert len(oracle.enum_semigroups_with_frobenius(21)) > 1000
+
+
+@pytest.mark.parametrize("value", ["abc", "4.5", "0", "-3"])
+def test_limit_env_rejects_non_positive_integers(monkeypatch, value):
+    monkeypatch.setenv("SGDOUBLE_LIMIT", value)
+    with pytest.raises(SemigroupError, match="SGDOUBLE_LIMIT"):
+        oracle.enum_semigroups_with_frobenius(5)
 
 
 def test_ideal_census():

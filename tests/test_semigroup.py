@@ -1,6 +1,13 @@
 import pytest
 
-from sgdouble import NATURALS, NumericalSemigroup, classify
+from sgdouble import (
+    NATURALS,
+    NumericalSemigroup,
+    classify,
+    enumerate_odd_doubles,
+    enumerate_symmetric_doubles,
+    oracle,
+)
 from sgdouble.errors import (
     EmptyGenerators,
     FrobeniusInSet,
@@ -149,3 +156,59 @@ def test_classify_rejects_unknown_method():
 def test_str_notation():
     assert str(S1) == "{0, 3, 5->}"
     assert str(NATURALS) == "{0->}"
+
+
+# -- bitmask invariants against the definitions --------------------------------
+
+
+@pytest.fixture(scope="module")
+def bitmask_cases():
+    """Every S with f <= 14, the symmetric and odd doubles of three bases up
+    to f(T) = 300, and {0, 6, 7, 9->}, whose largest minimal generator 11
+    puts x + g for the gap x = 8 at 2c + 1."""
+    cases = [
+        s for f in (-1, *range(1, 15)) for s in oracle.enum_semigroups_with_frobenius(f)
+    ]
+    for gens in ((3, 4), (3, 5), (3, 7, 8)):
+        base = NumericalSemigroup.from_generators(gens)
+        for fam in (enumerate_symmetric_doubles(base, 300), enumerate_odd_doubles(base, 300)):
+            cases += [cert.double for cert in fam.members]
+    cases.append(NumericalSemigroup.from_small_elements([0, 6, 7], 9))
+    return cases
+
+
+def _naive_minimal_generators(s):
+    """Nonzero members that are not a sum of two nonzero members.
+
+    Every x > c + m is m + (x - m) with x - m > c a member, so the
+    candidates stop at c + m.
+    """
+    c = s.conductor
+    members = set(s.small_elements) | set(range(c, 2 * c + 2))
+    m = min(members - {0})
+    nonzero = sorted(x for x in members if 0 < x <= c + m)
+    gens = []
+    for x in nonzero:
+        for a in nonzero:
+            if 2 * a > x:
+                gens.append(x)
+                break
+            if x - a in members:
+                break
+    return tuple(gens)
+
+
+def test_bitmask_invariants_match_definitions(bitmask_cases):
+    assert len(bitmask_cases) > 1000
+    for s in bitmask_cases:
+        ref = oracle.brute_classify(s)
+        for method in ("definition", "reflection", "pairing", "all"):
+            assert classify(s, method) == ref, (str(s), method)
+        assert s.minimal_generators == _naive_minimal_generators(s), str(s)
+
+
+def test_pseudo_frobenius_window_reaches_largest_generator():
+    s = NumericalSemigroup.from_small_elements([0, 6, 7], 9)
+    assert s.minimal_generators == (6, 7, 9, 10, 11)
+    assert s.pseudo_frobenius == (3, 4, 5, 8)
+    assert classify(s) == oracle.brute_classify(s)
