@@ -28,7 +28,7 @@ from .duplication import (
     normalize_params,
 )
 from .errors import SemigroupError
-from .ideals import canonical_ideal, maximal_ideal, relative_ideal, _build
+from .ideals import canonical_ideal, maximal_ideal, relative_ideal
 from .semigroup import CLASSIFY_METHODS, NumericalSemigroup, classify
 
 
@@ -246,7 +246,7 @@ def _check_ideal_duality(max_frobenius, rng):
         # union with the definitional PF set, which is empty for the naturals
         # (the -1 convention marker is not a member of anything)
         pf = () if s.is_naturals else s.pseudo_frobenius
-        expected = _build(s, set(s.small_elements) | set(pf), s.conductor)
+        expected = relative_ideal(s, [*s.small_elements, *pf], s.conductor)
         if (m - m) != expected:
             return n, False, f"M - M mismatch on {s}"
         pool = [e for fe in (-1, *s.gaps) for e in doubles_mod.ideals_with_frobenius(s, fe)]

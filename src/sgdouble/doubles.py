@@ -204,7 +204,7 @@ def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal
                 need |= 1 << (g + a)
         chosen += [c | 1 << g for c in chosen if c & need == need]
     out = [
-        RelativeIdeal(s, tuple(sorted(base + [g for g in free if c >> g & 1])), fe + 1)
+        RelativeIdeal._of(s, tuple(sorted(base + [g for g in free if c >> g & 1])), fe + 1)
         for c in chosen
     ]
     out.sort(key=lambda e: e.elements_below)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import AmbientMismatch, InvalidB, SumNotInS
 from .ideals import RelativeIdeal, _build
-from .semigroup import NATURALS, NumericalSemigroup
+from .semigroup import NumericalSemigroup, _canonical, _pair_violation
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,7 @@ def sum_violation(s: NumericalSemigroup, e: RelativeIdeal, b: int):
     """
     hi = s.conductor - b - e.min_element
     mem = e.members_below(max(hi, e.min_element))
-    for i, a in enumerate(mem):
-        for a2 in mem[i:]:
-            t = a + a2 + b
-            if t >= s.conductor:
-                break
-            if t not in s:
-                return (a, a2)
-    return None
+    return _pair_violation(mem, b, s.conductor, s._small_set)
 
 
 def duplicate(spec: DuplicationSpec) -> NumericalSemigroup:
@@ -71,19 +64,14 @@ def duplicate(spec: DuplicationSpec) -> NumericalSemigroup:
         {2 * x for x in s.members_below((c_t + 1) // 2)}
         | {2 * x + b for x in e.members_below((c_t - b + 1) // 2)}
     )
-    return NumericalSemigroup(tuple(small), c_t)
+    return NumericalSemigroup._of(tuple(small), c_t)
 
 
 def half(t: NumericalSemigroup) -> NumericalSemigroup:
     """One half of ``t``: the naturals s with 2s in t."""
     bound = (t.conductor + 1) // 2
     members = {x for x in range(bound + 1) if 2 * x in t}
-    c = bound
-    while c > 0 and (c - 1) in members:
-        c -= 1
-    if c == 0:
-        return NATURALS
-    return NumericalSemigroup(tuple(sorted(x for x in members if x < c)), c)
+    return NumericalSemigroup._of(*_canonical(members, bound))
 
 
 def _least_odd_member(t: NumericalSemigroup) -> int:
@@ -108,8 +96,7 @@ def decompose(t: NumericalSemigroup, b: int) -> DuplicationSpec:
     lo = (_least_odd_member(t) - b) // 2
     hi = (t.conductor - b + 1) // 2
     members = {x for x in range(lo, hi) if (2 * x + b) in t}
-    ideal = _build(s, members, max(hi, lo))
-    return DuplicationSpec(s, ideal, b)
+    return DuplicationSpec(s, _build(s, members, max(hi, lo)), b)
 
 
 def duplication_frobenius(spec: DuplicationSpec) -> int:

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import AmbientMismatch, NotAnIdeal
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, _canonical, _pair_violation
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,8 @@ class RelativeIdeal:
 
     Direct construction validates structure only (sorted, conductor
     minimal); use :func:`relative_ideal` to validate the ideal property
-    E + S <= E for untrusted input.
+    E + S <= E for untrusted input.  Ideals the kernel computes itself are
+    canonical by construction and skip both checks.
     """
 
     ambient: NumericalSemigroup
@@ -49,6 +50,17 @@ class RelativeIdeal:
                 raise ValueError("listed elements must lie strictly below the conductor")
         # cache membership once; the dataclass is frozen
         object.__setattr__(self, "_below_set", frozenset(elems))
+
+    @classmethod
+    def _of(cls, ambient: NumericalSemigroup, elements_below: tuple[int, ...],
+            ideal_conductor: int) -> "RelativeIdeal":
+        """Unchecked construction from a pair already in canonical form."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "ambient", ambient)
+        object.__setattr__(e, "elements_below", elements_below)
+        object.__setattr__(e, "ideal_conductor", ideal_conductor)
+        object.__setattr__(e, "_below_set", frozenset(elements_below))
+        return e
 
     # -- basic queries ------------------------------------------------------
 
@@ -89,7 +101,7 @@ class RelativeIdeal:
 
     def translate(self, x: int) -> "RelativeIdeal":
         """The shifted ideal E + x."""
-        return RelativeIdeal(
+        return RelativeIdeal._of(
             self.ambient,
             tuple(e + x for e in self.elements_below),
             self.ideal_conductor + x,
@@ -152,36 +164,9 @@ class RelativeIdeal:
         return _build(self.ambient, members, hi)
 
 
-def _build(ambient: NumericalSemigroup, members: Iterable[int], bound: int,
-           check: bool = True) -> RelativeIdeal:
-    """Canonicalize a member set known to contain every integer >= bound."""
-    mset = set(members)
-    c = bound
-    while c - 1 in mset:
-        c -= 1
-    below = tuple(sorted(x for x in mset if x < c))
-    ideal = RelativeIdeal(ambient, below, c)
-    if check:
-        witness = _ideal_violation(ambient, ideal)
-        if witness is not None:
-            e, g = witness
-            raise NotAnIdeal(f"{e} + {g} = {e + g} escapes the set", witness=witness)
-    return ideal
-
-
-def _ideal_violation(ambient: NumericalSemigroup, ideal: RelativeIdeal):
-    """A pair (e, g) with e + g not in the ideal, or None.
-
-    Checking the minimal generators of the ambient semigroup against the
-    listed elements is complete: sums involving the tail of either set land
-    past the ideal's conductor, and closure under the generators implies
-    closure under every element they generate.
-    """
-    for e in ideal.elements_below:
-        for g in ambient.minimal_generators:
-            if (e + g) not in ideal:
-                return (e, g)
-    return None
+def _build(ambient: NumericalSemigroup, members: set[int], bound: int) -> RelativeIdeal:
+    """The ideal ``members | [bound, oo)`` in canonical form, for results known to be ideals."""
+    return RelativeIdeal._of(ambient, *_canonical(members, bound))
 
 
 def relative_ideal(ambient: NumericalSemigroup, elems: Iterable[int],
@@ -194,17 +179,22 @@ def relative_ideal(ambient: NumericalSemigroup, elems: Iterable[int],
     E + S <= E is verified, raising :class:`NotAnIdeal` with a witness pair
     otherwise.
     """
-    members = {e for e in elems if e < conductor}
-    return _build(ambient, members, conductor, check=True)
+    ideal = _build(ambient, {e for e in elems if e < conductor}, conductor)
+    # Checking the minimal generators of the ambient semigroup against the
+    # listed elements is complete: sums involving the tail of either set land
+    # past the ideal's conductor, and closure under the generators implies
+    # closure under every element they generate.
+    for e in ideal.elements_below:
+        for g in ambient.minimal_generators:
+            if (e + g) not in ideal:
+                raise NotAnIdeal(f"{e} + {g} = {e + g} escapes the set", witness=(e, g))
+    return ideal
 
 
-@lru_cache(maxsize=None)
 def maximal_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     """The ideal of nonzero elements, S \\ {0}."""
-    if s.is_naturals:
-        return RelativeIdeal(s, (), 1)
-    below = tuple(x for x in s.small_elements if x > 0)
-    return RelativeIdeal(s, below, s.conductor)
+    # the naturals (conductor 0) give {1->}
+    return RelativeIdeal._of(s, s.small_elements[1:], max(s.conductor, 1))
 
 
 @lru_cache(maxsize=None)
@@ -217,13 +207,12 @@ def canonical_ideal(s: NumericalSemigroup) -> RelativeIdeal:
 
 def naturals_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     """The naturals viewed as a relative ideal of ``s``."""
-    return RelativeIdeal(s, (), 0)
+    return RelativeIdeal._of(s, (), 0)
 
 
-@lru_cache(maxsize=None)
 def unit_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     """``s`` viewed as a relative ideal of itself."""
-    return RelativeIdeal(s, s.small_elements, s.conductor)
+    return RelativeIdeal._of(s, s.small_elements, s.conductor)
 
 
 def is_numerical_semigroup_set(e: RelativeIdeal) -> bool:
@@ -234,13 +223,5 @@ def is_numerical_semigroup_set(e: RelativeIdeal) -> bool:
     """
     if e.min_element < 0 or 0 not in e:
         return False
-    c = e.ideal_conductor
-    mem = [x for x in e.members_below(c) if x > 0]
-    for i, a in enumerate(mem):
-        for b in mem[i:]:
-            t = a + b
-            if t >= c:
-                break
-            if t not in e:
-                return False
-    return True
+    # 0 in e and nothing negative: the listed elements start with 0, if any
+    return _pair_violation(e.elements_below[1:], 0, e.ideal_conductor, e._below_set) is None

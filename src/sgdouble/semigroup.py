@@ -47,6 +47,28 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(compress(range(len(flags)), flags))
 
 
+def _canonical(members: set[int], bound: int) -> tuple[tuple[int, ...], int]:
+    """(sorted members below c, c) for ``members | [bound, oo)``, c the least conductor."""
+    c = bound
+    while c - 1 in members:
+        c -= 1
+    return tuple(sorted(x for x in members if x < c)), c
+
+
+def _pair_violation(mem, shift: int, bound: int, target):
+    """The first pair a <= b of ascending ``mem`` with a + b + shift < bound
+    outside ``target`` (a set's members below ``bound``), or None.
+    """
+    for i, a in enumerate(mem):
+        for b in mem[i:]:
+            t = a + b + shift
+            if t >= bound:
+                break
+            if t not in target:
+                return (a, b)
+    return None
+
+
 def _reverse(mask: int, width: int) -> int:
     """``mask`` mirrored on [0, width): bit x moves to width - 1 - x."""
     return int(bin(mask)[2:].zfill(width)[::-1], 2)
@@ -59,7 +81,8 @@ class NumericalSemigroup:
     ``small_elements`` holds the members strictly below ``conductor``; every
     integer >= ``conductor`` is a member.  Direct construction performs cheap
     structural validation only; use :meth:`from_small_elements` to also check
-    additive closure of untrusted input.
+    additive closure of untrusted input.  Semigroups the kernel computes
+    itself are canonical by construction and skip both checks.
     """
 
     small_elements: tuple[int, ...]
@@ -86,6 +109,14 @@ class NumericalSemigroup:
             )
         if elems[-1] >= c:
             raise ValueError("small elements must lie strictly below the conductor")
+
+    @classmethod
+    def _of(cls, small_elements: tuple[int, ...], conductor: int) -> "NumericalSemigroup":
+        """Unchecked construction from a pair already in canonical form."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "small_elements", small_elements)
+        object.__setattr__(s, "conductor", conductor)
+        return s
 
     # -- construction -----------------------------------------------------
 
@@ -123,20 +154,16 @@ class NumericalSemigroup:
                         changed = True
         conductor = max(least) - m + 1  # type: ignore[type-var]
         small = tuple(x for x in range(conductor) if least[x % m] <= x)
-        return cls(small, conductor)
+        return cls._of(small, conductor)
 
     @classmethod
     def from_small_elements(cls, elems: Iterable[int], conductor: int) -> "NumericalSemigroup":
         """Validating constructor; rejects non-closed input with a witness pair."""
         s = cls(tuple(sorted(set(elems))), conductor)
-        nonzero = [e for e in s.small_elements if e > 0]
-        for i, a in enumerate(nonzero):
-            for b in nonzero[i:]:
-                t = a + b
-                if t >= conductor:
-                    break
-                if t not in s:
-                    raise NotClosed(f"{a} + {b} = {t} is missing", witness=(a, b))
+        witness = _pair_violation(s.small_elements[1:], 0, conductor, s._small_set)
+        if witness is not None:
+            a, b = witness
+            raise NotClosed(f"{a} + {b} = {a + b} is missing", witness=witness)
         return s
 
     # -- membership and invariants ----------------------------------------

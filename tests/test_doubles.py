@@ -229,6 +229,29 @@ def test_ideals_with_frobenius_matches_oracle():
             assert kernel == oracle.enum_relative_ideals(s, fe), (s, fe)
 
 
+@pytest.mark.slow
+def test_kernel_matches_oracle_at_frobenius_10_to_13():
+    # the ideal walk against the subset search at every fe for the 219 S
+    # with 10 <= f(S) <= 13, and both enumerators against the odd-part
+    # search for the 73 S with f(S) = 10 or 11
+    bases = [s for f in range(10, 14) for s in oracle.enum_semigroups_with_frobenius(f)]
+    assert len(bases) == 219
+    doubles = 0
+    for s in bases:
+        for fe in (-1, *range(1, s.frobenius + 1)):
+            kernel = list(ideals_with_frobenius(s, fe))
+            assert kernel == oracle.enum_relative_ideals(s, fe), (s, fe)
+        if s.frobenius > 11:
+            continue
+        f = s.frobenius
+        even = [c.double for c in enumerate_even_doubles(s).members]
+        assert even == oracle.brute_doubles(s, "even", 2 * f), s
+        odd = [c.double for c in enumerate_odd_doubles(s, 2 * f + 5).members]
+        assert odd == oracle.brute_doubles(s, "odd", 2 * f + 5), s
+        doubles += len(even) + len(odd)
+    assert doubles > 100
+
+
 def test_certificates_are_consistent():
     for fam in (enumerate_even_doubles(S1), enumerate_odd_doubles(S1, 15),
                 enumerate_symmetric_doubles(S1, 15)):

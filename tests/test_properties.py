@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sgdouble import (
     NumericalSemigroup,
+    RelativeIdeal,
     canonical_ideal,
     classify,
     decompose,
@@ -14,12 +15,16 @@ from sgdouble import (
     half,
     is_numerical_semigroup_set,
     maximal_ideal,
+    naturals_ideal,
     normalize_params,
     relative_ideal,
 )
 from sgdouble import oracle
-from sgdouble.doubles import ideals_with_frobenius
+from sgdouble.doubles import candidate_specs, ideals_with_frobenius
 from sgdouble.duplication import DuplicationSpec, sum_violation
+from sgdouble.ideals import unit_ideal
+
+from cases import ST1, T1
 
 
 # two consecutive generators force gcd 1
@@ -202,3 +207,37 @@ def test_maximal_ideal_self_difference_identity():
         members = sorted(set(s.members_below(bound)) | set(pf))
         assert (m - m) == relative_ideal(s, members, bound)
         assert is_numerical_semigroup_set(m - m)
+
+
+def _kernel_built_values(s):
+    """The values the kernel builds over ``s`` without validating them."""
+    k, m = canonical_ideal(s), maximal_ideal(s)
+    yield from (NumericalSemigroup.from_generators(s.minimal_generators),
+                k, m, unit_ideal(s), naturals_ideal(s))
+    for fe in (-1, *s.gaps):
+        for e in ideals_with_frobenius(s, fe):
+            yield from (e, e.translate(-2), e + e, e + k, e - e, k - e, m - e, e - m,
+                        e.reflection_dual(), e.tilde())
+    for spec in candidate_specs(s, 2 * s.frobenius + 3):
+        t = duplicate(spec)
+        # at the spec's own offset, and at an odd offset past the conductor,
+        # which mostly gives ideals with negative members
+        yield from (t, half(t), decompose(t, spec.odd_offset).ideal,
+                    decompose(t, t.conductor | 1).ideal)
+
+
+def test_kernel_built_values_are_canonical():
+    # kernel results skip the constructors' checks; they must come out in
+    # exactly the form the validating constructors produce
+    checked = 0
+    for s in _small_semigroups(9) + [T1, ST1]:
+        for v in _kernel_built_values(s):
+            checked += 1
+            if isinstance(v, NumericalSemigroup):
+                assert type(v.small_elements) is tuple, v
+                assert v == NumericalSemigroup.from_small_elements(v.small_elements, v.conductor)
+            else:
+                assert type(v.elements_below) is tuple, v
+                assert v == RelativeIdeal(v.ambient, v.elements_below, v.ideal_conductor)
+                assert v == relative_ideal(v.ambient, v.elements_below, v.ideal_conductor)
+    assert checked > 10000
