@@ -13,17 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .duplication import DuplicationSpec, duplicate, half
+from .duplication import DuplicationSpec, duplicate, duplication_frobenius, half
 from .errors import BoundTooSmall, HypothesisViolated, IsNaturals, NotAlmostSymmetric, SumNotInS
 from .ideals import (
     RelativeIdeal,
+    _build,
     canonical_ideal,
     is_numerical_semigroup_set,
     maximal_ideal,
     naturals_ideal,
     unit_ideal,
 )
-from .semigroup import ClassificationReport, NumericalSemigroup, canonical_key, classify
+from .semigroup import _CACHE_SIZE, ClassificationReport, NumericalSemigroup, canonical_key, classify
 
 KIND_SYMMETRIC = "symmetric"
 KIND_ODD = "odd-almost-symmetric"
@@ -84,12 +85,11 @@ class OddConditionReport:
         return self.frobenius_matches and self.sandwich and self.dual_is_semigroup
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _base_context(s: NumericalSemigroup):
     k = canonical_ideal(s)
     m = maximal_ideal(s)
-    mm = m - m
-    return k, m, mm, k - mm
+    return k, m, k - (m - m)
 
 
 def _odd_ideal_conditions(s: NumericalSemigroup, e: RelativeIdeal):
@@ -99,26 +99,32 @@ def _odd_ideal_conditions(s: NumericalSemigroup, e: RelativeIdeal):
     whether K - tilde(E) is a numerical semigroup.  Lazy, so ``all`` stops
     at the first failure.
     """
-    k, _, _, kmm = _base_context(s)
+    k, _, kmm = _base_context(s)
     tilde = e.tilde()
     yield kmm <= tilde and tilde <= k
     yield is_numerical_semigroup_set(k - tilde)
 
 
-def _odd_offset_condition(s: NumericalSemigroup, e: RelativeIdeal, b: int) -> bool:
-    """The offset condition b + shift + E + K <= M, shift = f(E) - f(S)."""
-    k, m, _, _ = _base_context(s)
-    shift = e.frobenius - s.frobenius
-    return (e + k).translate(b + shift) <= m
+def _odd_ideal_part(s: NumericalSemigroup, e: RelativeIdeal):
+    """The odd-type check of E, as the offset condition left to decide.
+
+    None when one of the conditions of ``_odd_ideal_conditions`` fails, else
+    the predicate b + shift + E + K <= M on the offset b, with shift =
+    f(E) - f(S) and shift + E + K computed once.
+    """
+    if not all(_odd_ideal_conditions(s, e)):
+        return None
+    k, m, _ = _base_context(s)
+    shifted_sum = (e + k).translate(e.frobenius - s.frobenius)
+    return lambda b: shifted_sum.translate(b) <= m
 
 
 def odd_necessary_conditions(spec: DuplicationSpec) -> OddConditionReport:
     """Evaluate the three necessary conditions for an odd-type double."""
     s, e, b = spec.base, spec.ideal, spec.odd_offset
     sandwich, dual_is_semigroup = _odd_ideal_conditions(s, e)
-    f_t = max(2 * s.frobenius, 2 * e.frobenius + b)
     return OddConditionReport(
-        frobenius_matches=(f_t == 2 * e.frobenius + b),
+        frobenius_matches=(duplication_frobenius(spec) == 2 * e.frobenius + b),
         sandwich=sandwich,
         dual_is_semigroup=dual_is_semigroup,
     )
@@ -131,25 +137,22 @@ def odd_double_check(spec: DuplicationSpec) -> bool:
     offset + shift + E + K <= M, where shift = f(E) - f(S).
     """
     s, e, b = spec.base, spec.ideal, spec.odd_offset
-    return odd_necessary_conditions(spec).all_hold and _odd_offset_condition(s, e, b)
+    # f(T) = 2 f(E) + b exactly when 2 f(E) + b, an odd number, exceeds 2 f(S)
+    offset_ok = _odd_ideal_part(s, e) if 2 * e.frobenius + b > 2 * s.frobenius else None
+    return offset_ok is not None and offset_ok(b)
 
 
 def _even_ideal_part(s: NumericalSemigroup, e: RelativeIdeal):
-    """The part of the even-type check that depends on E alone.
+    """The even-type check of E, as the offset condition left to decide.
 
-    None when K <= E - E fails, else the pair (M - E, E - M) that the offset
-    condition compares.  Assumes ``s`` is almost symmetric.
+    None when K <= E - E fails, else the predicate M - E <= (E - M) + b on
+    the offset b.  Assumes ``s`` is almost symmetric.
     """
-    k, m, _, _ = _base_context(s)
+    k, m, _ = _base_context(s)
     if not k <= (e - e):
         return None
-    return m - e, e - m
-
-
-def _even_offset_condition(part, b: int) -> bool:
-    """The offset condition M - E <= (E - M) + b, from ``_even_ideal_part``."""
-    m_minus_e, e_minus_m = part
-    return m_minus_e <= e_minus_m.translate(b)
+    m_minus_e, e_minus_m = m - e, e - m
+    return lambda b: m_minus_e <= e_minus_m.translate(b)
 
 
 def even_double_check(spec: DuplicationSpec) -> bool:
@@ -167,14 +170,14 @@ def even_double_check(spec: DuplicationSpec) -> bool:
         )
     if not classify(s).almost_symmetric:
         return False
-    part = _even_ideal_part(s, e)
-    return part is not None and _even_offset_condition(part, b)
+    offset_ok = _even_ideal_part(s, e)
+    return offset_ok is not None and offset_ok(b)
 
 
 # -- search space -------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal, ...]:
     """All relative ideals of ``s`` with smallest element 0 and Frobenius ``fe``.
 
@@ -193,33 +196,43 @@ def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal
         return (naturals_ideal(s),)
     if fe < 1 or fe in s:
         return ()
-    base = s.members_below(fe)
+    base = s._window(0, fe)
+    gaps = s._gap_mask & ((1 << fe) - 1)
+    gens = sum(1 << a for a in s.minimal_generators)
     free = [g for g in s.gaps if g < fe and (fe - g) not in s]
     chosen = [0]  # bitmasks over the gaps selected so far
     for g in reversed(free):
         # g + a below fe and outside S is an eligible gap larger than g
-        need = 0
-        for a in s.minimal_generators:
-            if g + a < fe and (g + a) not in s:
-                need |= 1 << (g + a)
+        need = gens << g & gaps
         chosen += [c | 1 << g for c in chosen if c & need == need]
-    out = [
-        RelativeIdeal._of(s, tuple(sorted(base + [g for g in free if c >> g & 1])), fe + 1)
-        for c in chosen
-    ]
+    out = [_build(s, base | c, 0, fe + 1) for c in chosen]
     out.sort(key=lambda e: e.elements_below)
     return tuple(out)
 
 
-def _spec_or_none(s: NumericalSemigroup, e: RelativeIdeal, b: int):
-    """The spec (s, e, b), or None when E + E + b escapes S.
+def _specs(s: NumericalSemigroup, offsets, ideal_part):
+    """Yield the valid normalized specs over ``s`` that pass a two-part check.
 
-    The spec's own validation is the sum filter, so it runs once.
+    For each f(E), ``offsets(f(E))`` gives the candidate odd offsets, kept
+    when they lie in S.  ``ideal_part(s, e)`` runs once per ideal and is
+    None when E fails, else the predicate that decides each offset passing
+    the sum filter.
     """
-    try:
-        return DuplicationSpec(s, e, b)
-    except SumNotInS:
-        return None
+    for fe in (-1, *s.gaps):
+        bs = [b for b in offsets(fe) if b in s]
+        if not bs:
+            continue
+        for e in ideals_with_frobenius(s, fe):
+            offset_ok = ideal_part(s, e)
+            if offset_ok is None:
+                continue
+            for b in bs:
+                try:  # the spec's own validation is the sum filter
+                    spec = DuplicationSpec(s, e, b)
+                except SumNotInS:
+                    continue
+                if offset_ok(b):
+                    yield spec
 
 
 def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
@@ -229,26 +242,25 @@ def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
     ``s`` is realized by at least one such spec.  The bound constrains the
     odd branch 2 f(E) + offset; callers pass max_frobenius >= 2 f(S).
     """
-    for fe in (-1, *s.gaps):
-        for e in ideals_with_frobenius(s, fe):
-            for b in range(1, max_frobenius - 2 * fe + 1, 2):
-                if b not in s:
-                    continue
-                spec = _spec_or_none(s, e, b)
-                if spec is not None:
-                    yield spec
+    return _specs(s, lambda fe: range(1, max_frobenius - 2 * fe + 1, 2),
+                  lambda s, e: lambda b: True)
 
 
-def _collect(found: dict, spec: DuplicationSpec, kind: str) -> None:
-    t = duplicate(spec)
-    key = (spec.odd_offset, spec.ideal.elements_below)
-    if t not in found or key < found[t][0]:
-        found[t] = (key, DoubleCertificate(t, spec, classify(t), kind))
+def _family(base: NumericalSemigroup, specs, kind: str, exhaustive: bool) -> DoubleFamily:
+    """The distinct doubles of ``specs`` in canonical order.
 
-
-def _family(base: NumericalSemigroup, found: dict, exhaustive: bool) -> DoubleFamily:
-    certs = sorted(found.values(), key=lambda pair: canonical_key(pair[1].double))
-    return DoubleFamily(base, tuple(c for _, c in certs), exhaustive)
+    Each double is certified by its spec with the least (offset, ideal
+    elements).
+    """
+    found: dict = {}
+    for spec in specs:
+        t = duplicate(spec)
+        key = (spec.odd_offset, spec.ideal.elements_below)
+        if t not in found or key < found[t][0]:
+            found[t] = (key, spec)
+    members = (DoubleCertificate(t, found[t][1], classify(t), kind)
+               for t in sorted(found, key=canonical_key))
+    return DoubleFamily(base, tuple(members), exhaustive)
 
 
 # -- enumerators --------------------------------------------------------------
@@ -270,14 +282,11 @@ def enumerate_symmetric_doubles(s: NumericalSemigroup, max_frobenius: int) -> Do
     b = 1
     while b not in s:
         b += 2
-    found: dict = {}
-    for f_t in range(2 * f + 1, max_frobenius + 1, 2):
-        # the ideal-sum condition K+K + (f_t - 2f) <= S is split-independent
-        if not kk.translate(f_t - 2 * f) <= unit:
-            continue
-        e = k.translate((f_t - b) // 2 - f)
-        _collect(found, DuplicationSpec(s, e, b), KIND_SYMMETRIC)
-    return _family(s, found, False)
+    # the ideal-sum condition K+K + (f_t - 2f) <= S is split-independent
+    specs = (DuplicationSpec(s, k.translate((f_t - b) // 2 - f), b)
+             for f_t in range(2 * f + 1, max_frobenius + 1, 2)
+             if kk.translate(f_t - 2 * f) <= unit)
+    return _family(s, specs, KIND_SYMMETRIC, False)
 
 
 def enumerate_odd_doubles(s: NumericalSemigroup, max_frobenius: int) -> DoubleFamily:
@@ -285,21 +294,10 @@ def enumerate_odd_doubles(s: NumericalSemigroup, max_frobenius: int) -> DoubleFa
     f = s.frobenius
     if max_frobenius < 2 * f + 1:
         raise BoundTooSmall(f"bound must be at least {2 * f + 1}")
-    found: dict = {}
-    for fe in (-1, *s.gaps):
-        # 2 f(S) < f(T) = 2 f(E) + b <= max_frobenius
-        lowest = max(1, 2 * f + 1 - 2 * fe)
-        offsets = [b for b in range(lowest, max_frobenius - 2 * fe + 1, 2) if b in s]
-        if not offsets:
-            continue
-        for e in ideals_with_frobenius(s, fe):
-            if not all(_odd_ideal_conditions(s, e)):
-                continue
-            for b in offsets:
-                spec = _spec_or_none(s, e, b)
-                if spec is not None and _odd_offset_condition(s, e, b):
-                    _collect(found, spec, KIND_ODD)
-    return _family(s, found, False)
+    # 2 f(S) < f(T) = 2 f(E) + b <= max_frobenius
+    specs = _specs(s, lambda fe: range(max(1, 2 * f + 1 - 2 * fe), max_frobenius - 2 * fe + 1, 2),
+                   _odd_ideal_part)
+    return _family(s, specs, KIND_ODD, False)
 
 
 def enumerate_even_doubles(s: NumericalSemigroup) -> DoubleFamily:
@@ -313,21 +311,9 @@ def enumerate_even_doubles(s: NumericalSemigroup) -> DoubleFamily:
     if s.is_naturals or not classify(s).almost_symmetric:
         return DoubleFamily(s, (), True)
     f = s.frobenius
-    found: dict = {}
-    for fe in (-1, *s.gaps):
-        # 2 f(E) + b < 2 f(S)
-        offsets = [b for b in range(3, 2 * f - 2 * fe, 2) if b in s]
-        if not offsets:
-            continue
-        for e in ideals_with_frobenius(s, fe):
-            part = _even_ideal_part(s, e)
-            if part is None:
-                continue
-            for b in offsets:
-                spec = _spec_or_none(s, e, b)
-                if spec is not None and _even_offset_condition(part, b):
-                    _collect(found, spec, KIND_EVEN)
-    return _family(s, found, True)
+    # 2 f(E) + b < 2 f(S)
+    specs = _specs(s, lambda fe: range(3, 2 * f - 2 * fe, 2), _even_ideal_part)
+    return _family(s, specs, KIND_EVEN, True)
 
 
 def witness_even_double(s: NumericalSemigroup) -> DuplicationSpec:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import AmbientMismatch, InvalidB, SumNotInS
 from .ideals import RelativeIdeal, _build
-from .semigroup import NumericalSemigroup, _canonical, _pair_violation
+from .semigroup import NumericalSemigroup, _bits, _from_mask, _pair_violation
 
 
 @dataclass(frozen=True)
@@ -50,36 +50,31 @@ def sum_violation(s: NumericalSemigroup, e: RelativeIdeal, b: int):
 
     Only sums below the conductor of s can fail, which bounds both factors.
     """
-    hi = s.conductor - b - e.min_element
-    mem = e.members_below(max(hi, e.min_element))
-    return _pair_violation(mem, b, s.conductor, s._small_set)
+    lo = e.min_element
+    return _pair_violation(e._window(lo, s.conductor - b - lo), lo, b, s)
+
+
+def _spread(mask: int) -> int:
+    """``mask`` with bit x moved to 2x."""
+    return int("0".join(bin(mask)[2:]), 2)
 
 
 def duplicate(spec: DuplicationSpec) -> NumericalSemigroup:
     """The duplication 2*S union (2*E + offset) as a canonical semigroup."""
     s, e, b = spec.base, spec.ideal, spec.odd_offset
-    f_t = max(2 * s.frobenius, 2 * e.frobenius + b)
-    c_t = f_t + 1
-    small = sorted(
-        {2 * x for x in s.members_below((c_t + 1) // 2)}
-        | {2 * x + b for x in e.members_below((c_t - b + 1) // 2)}
-    )
-    return NumericalSemigroup._of(tuple(small), c_t)
+    c_t = duplication_frobenius(spec) + 1
+    # the members below c_t: 2x for x in S, 2x + b for x in E
+    lo = e.min_element
+    mask = (_spread(s._window(0, (c_t + 1) // 2))
+            | _spread(e._window(lo, (c_t - b + 1) // 2)) << (2 * lo + b))
+    return NumericalSemigroup._of(_bits(mask), c_t, mask)
 
 
 def half(t: NumericalSemigroup) -> NumericalSemigroup:
     """One half of ``t``: the naturals s with 2s in t."""
     bound = (t.conductor + 1) // 2
-    members = {x for x in range(bound + 1) if 2 * x in t}
-    return NumericalSemigroup._of(*_canonical(members, bound))
-
-
-def _least_odd_member(t: NumericalSemigroup) -> int:
-    # every odd integer >= conductor is a member, so the scan terminates
-    x = 1
-    while x not in t:
-        x += 2
-    return x
+    members = sum(1 << x for x in range(bound) if 2 * x in t)
+    return NumericalSemigroup._of(*_from_mask(members, 0, bound))
 
 
 def decompose(t: NumericalSemigroup, b: int) -> DuplicationSpec:
@@ -93,10 +88,11 @@ def decompose(t: NumericalSemigroup, b: int) -> DuplicationSpec:
     if b % 2 == 0 or b < 0 or (2 * b) not in t:
         raise InvalidB(f"offset {b} must be odd with its double in the semigroup")
     s = half(t)
-    lo = (_least_odd_member(t) - b) // 2
-    hi = (t.conductor - b + 1) // 2
-    members = {x for x in range(lo, hi) if (2 * x + b) in t}
-    return DuplicationSpec(s, _build(s, members, max(hi, lo)), b)
+    # {y : 2y + 1 in t}, which holds every y from c(t) // 2 on, shifted by
+    # (1 - b) / 2
+    bound = t.conductor // 2
+    odd_half = _build(s, sum(1 << y for y in range(bound) if 2 * y + 1 in t), 0, bound)
+    return DuplicationSpec(s, odd_half.translate((1 - b) // 2), b)
 
 
 def duplication_frobenius(spec: DuplicationSpec) -> int:
@@ -114,16 +110,16 @@ def duplication_canonical_ideal(spec: DuplicationSpec) -> RelativeIdeal:
     t = duplicate(spec)
     s, e, b = spec.base, spec.ideal, spec.odd_offset
     f_t = t.frobenius
-    members = set()
+    members = 0
     for z in range(0, f_t + 1):
         a = f_t - z
         if a % 2 == 0:
             if (a // 2) not in s:
-                members.add(z)
+                members |= 1 << z
         else:
             if ((a - b) // 2) not in e:
-                members.add(z)
-    return _build(t, members, f_t + 1)
+                members |= 1 << z
+    return _build(t, members, 0, f_t + 1)
 
 
 def normalize_params(spec: DuplicationSpec) -> DuplicationSpec:

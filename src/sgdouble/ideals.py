@@ -3,10 +3,14 @@
 A relative ideal of S is a set E of integers, possibly with negative
 members, such that E + S stays inside E and E is bounded below.  Like
 semigroups, ideals are stored canonically: the sorted members strictly below
-the ideal's conductor plus the conductor.  All operations are pure; every
-set-valued result is computed over a finite window that provably contains
-all behaviour (both operands are upper sets past their conductors, so each
-operation's result is constant outside the window used).
+the ideal's conductor plus the conductor.  They share the semigroups' set
+core, a Python-int mask of the members from the smallest one up to the
+conductor, and compute on it: E <= F is one mask test, E + F an OR of shifts
+of F, E - F an AND of shifts of E, the reflection dual E's complement
+mirrored.  All operations are pure; every set-valued result is computed over
+a finite window that provably contains all behaviour (both operands are
+upper sets past their conductors, so each operation's result is constant
+outside the window used).
 
 Ideals remember the semigroup they live over.  Mixing ideals of different
 semigroups raises :class:`AmbientMismatch` instead of silently re-ambienting:
@@ -18,20 +22,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .errors import AmbientMismatch, NotAnIdeal
-from .semigroup import NumericalSemigroup, _canonical, _pair_violation
+from .semigroup import (
+    _CACHE_SIZE,
+    NumericalSemigroup,
+    _bits,
+    _from_mask,
+    _pair_violation,
+    _reverse,
+    _UpSet,
+)
 
 
 @dataclass(frozen=True)
-class RelativeIdeal:
+class RelativeIdeal(_UpSet):
     """Canonical, immutable relative ideal over ``ambient``.
 
     Direct construction validates structure only (sorted, conductor
     minimal); use :func:`relative_ideal` to validate the ideal property
     E + S <= E for untrusted input.  Ideals the kernel computes itself are
-    canonical by construction and skip both checks.
+    canonical by construction and skip both checks.  The smallest member and
+    the member mask are set once, at construction.
     """
 
     ambient: NumericalSemigroup
@@ -48,40 +62,27 @@ class RelativeIdeal:
                 raise ValueError("conductor is not minimal: its predecessor is listed")
             if elems[-1] >= c:
                 raise ValueError("listed elements must lie strictly below the conductor")
-        # cache membership once; the dataclass is frozen
-        object.__setattr__(self, "_below_set", frozenset(elems))
+        lo = elems[0] if elems else c
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_mask", sum(1 << (x - lo) for x in elems))
 
     @classmethod
     def _of(cls, ambient: NumericalSemigroup, elements_below: tuple[int, ...],
-            ideal_conductor: int) -> "RelativeIdeal":
-        """Unchecked construction from a pair already in canonical form."""
+            ideal_conductor: int, mask: int) -> "RelativeIdeal":
+        """Unchecked construction from a canonical pair and its member mask."""
         e = object.__new__(cls)
         object.__setattr__(e, "ambient", ambient)
         object.__setattr__(e, "elements_below", elements_below)
         object.__setattr__(e, "ideal_conductor", ideal_conductor)
-        object.__setattr__(e, "_below_set", frozenset(elements_below))
+        object.__setattr__(e, "_lo", elements_below[0] if elements_below else ideal_conductor)
+        object.__setattr__(e, "_mask", mask)
         return e
 
     # -- basic queries ------------------------------------------------------
 
-    def __contains__(self, x: int) -> bool:
-        return x >= self.ideal_conductor or x in self._below_set
-
-    @property
-    def min_element(self) -> int:
-        """Smallest member m(E)."""
-        return self.elements_below[0] if self.elements_below else self.ideal_conductor
-
-    @property
-    def frobenius(self) -> int:
-        """Largest integer not in the ideal."""
-        return self.ideal_conductor - 1
-
-    def members_below(self, hi: int) -> list[int]:
-        """Sorted members in [m(E), hi)."""
-        out = [e for e in self.elements_below if e < hi]
-        out.extend(range(self.ideal_conductor, hi))
-        return out
+    _c = property(attrgetter("ideal_conductor"))
+    _listed = property(attrgetter("elements_below"))
+    min_element = property(attrgetter("_lo"), doc="Smallest member m(E).")
 
     def _require_same_ambient(self, other: "RelativeIdeal") -> None:
         if self.ambient != other.ambient:
@@ -90,12 +91,9 @@ class RelativeIdeal:
     def __le__(self, other: "RelativeIdeal") -> bool:
         """Subset test (same ambient required)."""
         self._require_same_ambient(other)
-        hi = max(self.ideal_conductor, other.ideal_conductor)
-        return all(x in other for x in self.members_below(hi))
-
-    def __str__(self) -> str:
-        inner = ", ".join(map(str, self.elements_below + (self.ideal_conductor,)))
-        return "{" + inner + "->}"
+        # members of E from c(F) on are members of F
+        lo, hi = self._lo, other._c
+        return lo >= other._lo and self._window(lo, hi) & ~other._window(lo, hi) == 0
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -105,6 +103,7 @@ class RelativeIdeal:
             self.ambient,
             tuple(e + x for e in self.elements_below),
             self.ideal_conductor + x,
+            self._mask,
         )
 
     def __add__(self, other):
@@ -112,12 +111,13 @@ class RelativeIdeal:
         if isinstance(other, int):
             return self.translate(other)
         self._require_same_ambient(other)
-        # everything past c(E) + c(F) is a sum of two tail elements
-        bound = self.ideal_conductor + other.ideal_conductor
-        mine = self.members_below(bound - other.min_element)
-        theirs = other.members_below(bound - self.min_element)
-        members = {a + b for a in mine for b in theirs if a + b < bound}
-        return _build(self.ambient, members, bound)
+        # every x >= c(E) + m(F) or >= m(E) + c(F) is a sum, and a smaller
+        # sum takes both of its terms from the listed members
+        bound = min(self._c + other._lo, self._lo + other._c)
+        sums = 0
+        for i in _bits(self._mask):
+            sums |= other._mask << i
+        return _build(self.ambient, sums, self._lo + other._lo, bound)
 
     __radd__ = __add__
 
@@ -126,15 +126,16 @@ class RelativeIdeal:
         if isinstance(other, int):
             return self.translate(-other)
         self._require_same_ambient(other)
-        lo = self.min_element - other.min_element  # below lo, x + m(F) < m(E)
-        hi = self.ideal_conductor - other.min_element  # from hi on, x + F >= c(E)
-        fmem = other.members_below(max(self.ideal_conductor - lo, other.min_element))
-        members = set()
-        for x in range(lo, hi):
-            cut = self.ideal_conductor - x  # x + f >= c(E) holds automatically
-            if all((x + f) in self for f in fmem if f < cut):
-                members.add(x)
-        return _build(self.ambient, members, hi)
+        # x is a member iff x + f is in E for each f in F.  Below lo,
+        # x + m(F) < m(E); from lo + span on, x + F >= c(E).  For x in
+        # between, f >= m(F) + span puts x + f past c(E) already, so bit
+        # x - lo ANDs bit x + f - m(E) of E's members over f - m(F) < span.
+        lo, span = self._lo - other._lo, self._c - self._lo
+        members = self._window(self._lo, self._lo + 2 * span)
+        diff = (1 << span) - 1
+        for d in _bits(other._window(other._lo, other._lo + span)):
+            diff &= members >> d
+        return _build(self.ambient, diff, lo, lo + span)
 
     def tilde(self) -> "RelativeIdeal":
         """Normalizing shift making the ideal's Frobenius number match the ambient one."""
@@ -157,16 +158,19 @@ class RelativeIdeal:
         E, but is computed directly from the reflection predicate; the two
         routes cross-validate each other in the test suite.
         """
-        f = self.ambient.frobenius
-        lo = f - self.ideal_conductor + 1
-        hi = f - self.min_element + 1
-        members = {x for x in range(lo, hi) if (f - x) not in self}
-        return _build(self.ambient, members, hi)
+        # x in [f - c(E) + 1, f - m(E)] is a member iff f - x is one of the
+        # non-members of E in [m(E), c(E)): E's complement mirrored
+        f, span = self.ambient.frobenius, self._c - self._lo
+        holes = ~self._mask & ((1 << span) - 1)
+        return _build(self.ambient, _reverse(holes, span), f - self._c + 1, f - self._lo + 1)
 
 
-def _build(ambient: NumericalSemigroup, members: set[int], bound: int) -> RelativeIdeal:
-    """The ideal ``members | [bound, oo)`` in canonical form, for results known to be ideals."""
-    return RelativeIdeal._of(ambient, *_canonical(members, bound))
+def _build(ambient: NumericalSemigroup, mask: int, lo: int, bound: int) -> RelativeIdeal:
+    """The ideal {lo + i : bit i of ``mask``} | [bound, oo), canonical.
+
+    For results known to be ideals.
+    """
+    return RelativeIdeal._of(ambient, *_from_mask(mask, lo, bound))
 
 
 def relative_ideal(ambient: NumericalSemigroup, elems: Iterable[int],
@@ -179,7 +183,9 @@ def relative_ideal(ambient: NumericalSemigroup, elems: Iterable[int],
     E + S <= E is verified, raising :class:`NotAnIdeal` with a witness pair
     otherwise.
     """
-    ideal = _build(ambient, {e for e in elems if e < conductor}, conductor)
+    below = {e for e in elems if e < conductor}
+    lo = min(below, default=conductor)
+    ideal = _build(ambient, sum(1 << (e - lo) for e in below), lo, conductor)
     # Checking the minimal generators of the ambient semigroup against the
     # listed elements is complete: sums involving the tail of either set land
     # past the ideal's conductor, and closure under the generators implies
@@ -194,25 +200,23 @@ def relative_ideal(ambient: NumericalSemigroup, elems: Iterable[int],
 def maximal_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     """The ideal of nonzero elements, S \\ {0}."""
     # the naturals (conductor 0) give {1->}
-    return RelativeIdeal._of(s, s.small_elements[1:], max(s.conductor, 1))
+    return _build(s, s._mask & ~1, 0, max(s.conductor, 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def canonical_ideal(s: NumericalSemigroup) -> RelativeIdeal:
-    """The standard canonical ideal {x : f - x not in S}."""
-    f = s.frobenius
-    members = {f - g for g in s.gaps}
-    return _build(s, members, f + 1)
+    """The standard canonical ideal {x : f - x not in S}: the gaps mirrored."""
+    return _build(s, _reverse(s._gap_mask, s.conductor), 0, s.conductor)
 
 
 def naturals_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     """The naturals viewed as a relative ideal of ``s``."""
-    return RelativeIdeal._of(s, (), 0)
+    return RelativeIdeal._of(s, (), 0, 0)
 
 
 def unit_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     """``s`` viewed as a relative ideal of itself."""
-    return RelativeIdeal._of(s, s.small_elements, s.conductor)
+    return RelativeIdeal._of(s, s.small_elements, s.conductor, s._mask)
 
 
 def is_numerical_semigroup_set(e: RelativeIdeal) -> bool:
@@ -223,5 +227,5 @@ def is_numerical_semigroup_set(e: RelativeIdeal) -> bool:
     """
     if e.min_element < 0 or 0 not in e:
         return False
-    # 0 in e and nothing negative: the listed elements start with 0, if any
-    return _pair_violation(e.elements_below[1:], 0, e.ideal_conductor, e._below_set) is None
+    # 0 is the smallest member: pairs of the nonzero listed members
+    return _pair_violation(e._mask & ~1, 0, 0, e) is None

@@ -101,7 +101,6 @@ def report_to_dict(r: ClassificationReport) -> dict:
         "pseudo_frobenius": list(r.pseudo_frobenius),
         "type": r.type,
         "symmetry_class": r.symmetry_class,
-        "criteria_agreement": r.criteria_agreement,
     }
 
 
@@ -113,7 +112,6 @@ def report_from_dict(d: dict) -> ClassificationReport:
         pseudo_frobenius=tuple(_ints(d, "pseudo_frobenius")),
         type=_field(d, "type", int),
         symmetry_class=_field(d, "symmetry_class", str),
-        criteria_agreement=_field(d, "criteria_agreement", bool),
     )
 
 

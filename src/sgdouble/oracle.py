@@ -130,7 +130,7 @@ def brute_classify(s: NumericalSemigroup) -> ClassificationReport:
     Follows the same conventions as the kernel for the naturals.
     """
     if s.conductor == 0:
-        return ClassificationReport(-1, (), (), (-1,), 1, SYMMETRIC, True)
+        return ClassificationReport(-1, (), (), (-1,), 1, SYMMETRIC)
     c = s.conductor
     f = c - 1
     mem = set(_members(s, 2 * c + 2))
@@ -147,7 +147,7 @@ def brute_classify(s: NumericalSemigroup) -> ClassificationReport:
         cls = ALMOST_SYMMETRIC_PROPER
     else:
         cls = NOT_ALMOST_SYMMETRIC
-    return ClassificationReport(f, gaps, ell, pf, len(pf), cls, True)
+    return ClassificationReport(f, gaps, ell, pf, len(pf), cls)
 
 
 def _iter_doubles(s: NumericalSemigroup, max_frobenius: int):

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import compress
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import (
@@ -41,31 +42,41 @@ CLASSIFY_METHODS = ("definition", "reflection", "pairing", "all")
 _DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _bits(mask: int) -> tuple[int, ...]:
-    """Ascending positions of the set bits of a nonnegative ``mask``."""
+#: Size of each of the library's memo caches.
+_CACHE_SIZE = 1024
+
+
+def _bits(mask: int, start: int = 0) -> tuple[int, ...]:
+    """Ascending ``start + i`` for the set bits i of a nonnegative ``mask``."""
     flags = bin(mask)[:1:-1].encode("ascii").translate(_DIGIT_TO_FLAG)
-    return tuple(compress(range(len(flags)), flags))
+    return tuple(compress(range(start, start + len(flags)), flags))
 
 
-def _canonical(members: set[int], bound: int) -> tuple[tuple[int, ...], int]:
-    """(sorted members below c, c) for ``members | [bound, oo)``, c the least conductor."""
-    c = bound
-    while c - 1 in members:
-        c -= 1
-    return tuple(sorted(x for x in members if x < c)), c
+def _from_mask(mask: int, lo: int, bound: int) -> tuple[tuple[int, ...], int, int]:
+    """Canonical form of {lo + i : bit i of ``mask``} | [bound, oo), for lo <= bound.
 
-
-def _pair_violation(mem, shift: int, bound: int, target):
-    """The first pair a <= b of ascending ``mem`` with a + b + shift < bound
-    outside ``target`` (a set's members below ``bound``), or None.
+    Returns the members below the least conductor c, c, and their mask from
+    the smallest member on; bits of ``mask`` at or past ``bound`` are ignored.
     """
-    for i, a in enumerate(mem):
-        for b in mem[i:]:
-            t = a + b + shift
-            if t >= bound:
-                break
-            if t not in target:
-                return (a, b)
+    c = lo + (~mask & ((1 << (bound - lo)) - 1)).bit_length()  # past the last non-member
+    listed = mask & ((1 << (c - lo)) - 1)
+    elements = _bits(listed, lo)
+    return elements, c, listed >> (elements[0] - lo) if elements else 0
+
+
+def _pair_violation(mem: int, lo: int, shift: int, target: "_UpSet"):
+    """The first pair a <= b (least a, then least b) of the integers lo + i,
+    i a set bit of ``mem``, with a + b + shift outside ``target``; or None.
+
+    Sums from the target's conductor on are members: one mask test per a.
+    """
+    start = 2 * lo + shift  # the least sum
+    width = max(target._c - start, 0)
+    missing = ~target._window(start, target._c) & ((1 << width) - 1)
+    for i in _bits(mem & ((1 << (width + 1) // 2) - 1)):  # a + a below the conductor
+        hit = missing >> i & mem >> i << i  # the b >= a whose sum is missing
+        if hit:
+            return lo + i, lo + (hit & -hit).bit_length() - 1
     return None
 
 
@@ -74,8 +85,38 @@ def _reverse(mask: int, width: int) -> int:
     return int(bin(mask)[2:].zfill(width)[::-1], 2)
 
 
+class _UpSet:
+    """A set of integers, bounded below, that holds every integer from its conductor on.
+
+    The set core of semigroups and ideals.  Subclasses provide the smallest
+    member ``_lo``, the conductor ``_c``, the members below it ``_listed``
+    and ``_mask``, with bit x - ``_lo`` set for each listed member x.
+    """
+
+    def _window(self, start: int, stop: int) -> int:
+        """Bit x - start is set for each member x in [start, stop)."""
+        shift = self._lo - start
+        listed = self._mask << shift if shift >= 0 else self._mask >> -shift
+        return (listed | -1 << max(self._c - start, 0)) & ((1 << max(stop - start, 0)) - 1)
+
+    def __contains__(self, x: int) -> bool:
+        return x >= self._c or (x >= self._lo and self._mask >> (x - self._lo) & 1 == 1)
+
+    def members_below(self, hi: int) -> list[int]:
+        """Sorted members below ``hi``."""
+        return list(_bits(self._window(self._lo, hi), self._lo))
+
+    @property
+    def frobenius(self) -> int:
+        """Largest integer outside the set (-1 for the naturals)."""
+        return self._c - 1
+
+    def __str__(self) -> str:
+        return "{" + ", ".join(map(str, (*self._listed, self._c))) + "->}"
+
+
 @dataclass(frozen=True)
-class NumericalSemigroup:
+class NumericalSemigroup(_UpSet):
     """Canonical, immutable numerical semigroup.
 
     ``small_elements`` holds the members strictly below ``conductor``; every
@@ -87,6 +128,10 @@ class NumericalSemigroup:
 
     small_elements: tuple[int, ...]
     conductor: int
+
+    _lo = 0  # every semigroup's smallest member
+    _c = property(attrgetter("conductor"))
+    _listed = property(attrgetter("small_elements"))
 
     def __post_init__(self):
         object.__setattr__(self, "small_elements", tuple(self.small_elements))
@@ -111,11 +156,14 @@ class NumericalSemigroup:
             raise ValueError("small elements must lie strictly below the conductor")
 
     @classmethod
-    def _of(cls, small_elements: tuple[int, ...], conductor: int) -> "NumericalSemigroup":
-        """Unchecked construction from a pair already in canonical form."""
+    def _of(cls, small_elements: tuple[int, ...], conductor: int,
+            mask: int | None = None) -> "NumericalSemigroup":
+        """Unchecked construction from a canonical pair, and its mask if known."""
         s = object.__new__(cls)
         object.__setattr__(s, "small_elements", small_elements)
         object.__setattr__(s, "conductor", conductor)
+        if mask is not None:
+            object.__setattr__(s, "_mask", mask)
         return s
 
     # -- construction -----------------------------------------------------
@@ -160,7 +208,7 @@ class NumericalSemigroup:
     def from_small_elements(cls, elems: Iterable[int], conductor: int) -> "NumericalSemigroup":
         """Validating constructor; rejects non-closed input with a witness pair."""
         s = cls(tuple(sorted(set(elems))), conductor)
-        witness = _pair_violation(s.small_elements[1:], 0, conductor, s._small_set)
+        witness = _pair_violation(s._mask & ~1, 0, 0, s)
         if witness is not None:
             a, b = witness
             raise NotClosed(f"{a} + {b} = {a + b} is missing", witness=witness)
@@ -169,40 +217,13 @@ class NumericalSemigroup:
     # -- membership and invariants ----------------------------------------
 
     @cached_property
-    def _small_set(self) -> frozenset[int]:
-        return frozenset(self.small_elements)
-
-    @cached_property
     def _mask(self) -> int:
         """Bit x is set for each member x below the conductor."""
-        # digits[x] is the binary digit of 2**x for x in [0, c]; the one at c
-        # stays "0" and keeps the string nonempty for the naturals
-        digits = bytearray(b"0") * (self.conductor + 1)
-        for x in self.small_elements:
-            digits[x] = 49  # ord("1")
-        return int(digits[::-1], 2)
-
-    def _members_mask(self, hi: int) -> int:
-        """Bitmask of the members in [0, hi), for hi >= conductor."""
-        return self._mask | ((1 << hi) - (1 << self.conductor))
-
-    def __contains__(self, x: int) -> bool:
-        return x >= self.conductor or x in self._small_set
-
-    def members_below(self, hi: int) -> list[int]:
-        """Sorted members in [0, hi)."""
-        out = [e for e in self.small_elements if e < hi]
-        out.extend(range(self.conductor, hi))
-        return out
+        return sum(1 << x for x in self.small_elements)
 
     @property
     def is_naturals(self) -> bool:
         return self.conductor == 0
-
-    @property
-    def frobenius(self) -> int:
-        """Largest integer not in the semigroup (-1 for the naturals)."""
-        return self.conductor - 1
 
     @property
     def multiplicity(self) -> int:
@@ -238,7 +259,7 @@ class NumericalSemigroup:
         # for every minimal generator g.  For a gap x, x + g stays below
         # c + max(g), so the members window must reach that far.
         gens = self.minimal_generators
-        members = self._members_mask(self.conductor + gens[-1])
+        members = self._window(0, self.conductor + gens[-1])
         pf = self._gap_mask
         for g in gens:
             pf &= members >> g
@@ -261,16 +282,12 @@ class NumericalSemigroup:
         """Unique minimal generating set: nonzero elements not a sum of two."""
         # any element > conductor + multiplicity splits off the multiplicity
         hi = self.conductor + self.multiplicity + 1
-        nonzero = self._members_mask(hi) & ~1
+        nonzero = self._window(0, hi) & ~1
         sums = 0
         # a sum a + b < hi of members 0 < a <= b has a <= hi // 2
         for a in self.members_below(hi // 2 + 1)[1:]:
             sums |= nonzero << a
         return _bits(nonzero & ~sums)
-
-    def __str__(self) -> str:
-        inner = ", ".join(map(str, self.small_elements + (self.conductor,)))
-        return "{" + inner + "->}"
 
 
 #: The full set of nonnegative integers.
@@ -287,10 +304,7 @@ class ClassificationReport:
     """Symmetry classification of one semigroup.
 
     ``symmetry_class`` is one of "symmetric", "pseudo-symmetric",
-    "almost-symmetric-proper", or "none".  ``criteria_agreement`` records
-    that every almost-symmetry criterion evaluated returned the same answer
-    (always true for reports produced by :func:`classify`, which raises on
-    disagreement).
+    "almost-symmetric-proper", or "none".
     """
 
     frobenius: int
@@ -299,7 +313,6 @@ class ClassificationReport:
     pseudo_frobenius: tuple[int, ...]
     type: int
     symmetry_class: str
-    criteria_agreement: bool
 
     @property
     def almost_symmetric(self) -> bool:
@@ -346,7 +359,7 @@ _CRITERIA = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def classify(s: NumericalSemigroup, method: str = "all") -> ClassificationReport:
     """Full symmetry report for ``s``.
 
@@ -362,8 +375,7 @@ def classify(s: NumericalSemigroup, method: str = "all") -> ClassificationReport
         raise ValueError(f"method must be one of {CLASSIFY_METHODS}, got {method!r}")
     names = list(_CRITERIA) if method == "all" else [method]
     results = {name: _CRITERIA[name](s) for name in names}
-    agree = len(set(results.values())) == 1
-    if not agree:
+    if len(set(results.values())) != 1:
         raise RuntimeError(f"almost-symmetry criteria disagree on {s}: {results}")
     almost = results[names[0]]
 
@@ -385,5 +397,4 @@ def classify(s: NumericalSemigroup, method: str = "all") -> ClassificationReport
         pseudo_frobenius=s.pseudo_frobenius,
         type=s.type,
         symmetry_class=symmetry_class,
-        criteria_agreement=agree,
     )

@@ -45,7 +45,7 @@ def test_report_roundtrip():
     d = through_json(jsonio.report_to_dict(rep))
     assert set(d) == {
         "frobenius", "gaps", "second_type_gaps", "pseudo_frobenius",
-        "type", "symmetry_class", "criteria_agreement",
+        "type", "symmetry_class",
     }
     assert jsonio.report_from_dict(d) == rep
 

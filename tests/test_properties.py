@@ -1,5 +1,8 @@
 """Property-based and small-exhaustive invariant tests."""
 
+import importlib
+import pkgutil
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +22,7 @@ from sgdouble import (
     normalize_params,
     relative_ideal,
 )
+import sgdouble
 from sgdouble import oracle
 from sgdouble.doubles import candidate_specs, ideals_with_frobenius
 from sgdouble.duplication import DuplicationSpec, sum_violation
@@ -55,7 +59,6 @@ def test_pf_inside_second_type_gaps_plus_frobenius(s):
 @given(semigroups)
 def test_classification_criteria_agree(s):
     rep = classify(s, "all")  # raises internally on disagreement
-    assert rep.criteria_agreement
     if rep.almost_symmetric:
         assert (rep.type % 2) == (rep.frobenius % 2)
 
@@ -233,11 +236,81 @@ def test_kernel_built_values_are_canonical():
     for s in _small_semigroups(9) + [T1, ST1]:
         for v in _kernel_built_values(s):
             checked += 1
+            # the member mask a kernel value carries must be the one its
+            # validated rebuild computes from the element list
             if isinstance(v, NumericalSemigroup):
                 assert type(v.small_elements) is tuple, v
-                assert v == NumericalSemigroup.from_small_elements(v.small_elements, v.conductor)
+                rebuilt = NumericalSemigroup.from_small_elements(v.small_elements, v.conductor)
+                assert v == rebuilt and v._mask == rebuilt._mask, v
             else:
                 assert type(v.elements_below) is tuple, v
-                assert v == RelativeIdeal(v.ambient, v.elements_below, v.ideal_conductor)
+                rebuilt = RelativeIdeal(v.ambient, v.elements_below, v.ideal_conductor)
+                assert v == rebuilt and (v._lo, v._mask) == (rebuilt._lo, rebuilt._mask), v
                 assert v == relative_ideal(v.ambient, v.elements_below, v.ideal_conductor)
     assert checked > 10000
+
+
+def test_every_cache_is_bounded():
+    # a sweep over many semigroups must not grow a memo cache without limit
+    cached = set()
+    for info in pkgutil.iter_modules(sgdouble.__path__):
+        module = importlib.import_module(f"sgdouble.{info.name}")
+        for name, fn in vars(module).items():
+            if hasattr(fn, "cache_parameters") and fn.__module__ == module.__name__:
+                cached.add(name)
+                assert fn.cache_parameters()["maxsize"] is not None, name
+    assert {"classify", "canonical_ideal", "ideals_with_frobenius", "_base_context"} <= cached
+
+
+def _canonical_form(members, hi):
+    """(sorted members below c, c) of ``members`` | [hi, oo), c the least conductor."""
+    c = hi
+    while c - 1 in members:
+        c -= 1
+    return tuple(sorted(x for x in members if x < c)), c
+
+
+def test_ideal_arithmetic_matches_definitions():
+    # membership, inclusion, sum, difference and the reflection dual against
+    # their plain-set definitions, read off the ideals' fields only
+    checked = 0
+    for s in _small_semigroups(8):
+        f = s.frobenius
+        anchors = [canonical_ideal(s), maximal_ideal(s), unit_ideal(s), naturals_ideal(s)]
+        pool = list(anchors)
+        for fe in (-1, *s.gaps):
+            for e in ideals_with_frobenius(s, fe):
+                pool += [e, e.translate(-3), e.translate(2)]
+        plain = {e: (set(e.elements_below), e.min_element, e.ideal_conductor) for e in pool}
+        for e in pool:
+            listed, lo, c = plain[e]
+            for x in range(lo - 3, c + 3):
+                assert (x in e) == (x in listed or x >= c), (e, x)
+            dual = {x for x in range(f - c - 2, f - lo + 4)
+                    if not (f - x in listed or f - x >= c)}
+            want = _canonical_form(dual, f - lo + 4)
+            got = e.reflection_dual()
+            assert (got.elements_below, got.ideal_conductor) == want, e
+        pairs = [(e, a) for e in pool for a in anchors]
+        pairs += [(a, e) for e in pool for a in anchors] + [(e, e) for e in pool]
+        for e, g in pairs:
+            checked += 1
+            (el, elo, ec), (gl, glo, gc) = plain[e], plain[g]
+            hi = max(ec, gc) + 3
+            e_mem = [x for x in range(elo, hi) if x in el or x >= ec]
+            assert (e <= g) == all(x in gl or x >= gc for x in e_mem), (e, g)
+            # every x >= c(E) + c(G) is a sum of two tail members
+            hi = ec + gc + 3
+            a_mem = [x for x in range(elo, hi - glo) if x in el or x >= ec]
+            b_mem = [x for x in range(glo, hi - elo) if x in gl or x >= gc]
+            sums = {a + b for a in a_mem for b in b_mem if a + b < hi}
+            got = e + g
+            assert (got.elements_below, got.ideal_conductor) == _canonical_form(sums, hi), (e, g)
+            # x + m(G) >= c(E) puts x + G inside E; below m(E) - m(G) nothing fits
+            hi = ec - glo + 3
+            g_mem = [y for y in range(glo, ec - elo + glo + 4) if y in gl or y >= gc]
+            diff = {x for x in range(elo - glo - 3, hi)
+                    if all(x + y in el or x + y >= ec for y in g_mem)}
+            got = e - g
+            assert (got.elements_below, got.ideal_conductor) == _canonical_form(diff, hi), (e, g)
+    assert checked > 20000

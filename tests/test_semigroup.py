@@ -139,7 +139,6 @@ def test_classify_report_fields():
     assert rep.type == 2
     assert rep.frobenius == 4
     assert rep.almost_symmetric and rep.pseudo_symmetric and not rep.symmetric
-    assert rep.criteria_agreement
 
     rep3 = classify(D3)
     assert rep3.type == 4 and rep3.almost_symmetric
