@@ -15,6 +15,8 @@ import argparse
 import json
 import random
 import sys
+from itertools import chain
+from typing import Iterable
 
 from . import doubles as doubles_mod
 from . import jsonio, oracle
@@ -69,11 +71,12 @@ def _ideal(args, ambient):
     return relative_ideal(ambient, args.ideal, args.ideal_conductor)
 
 
-def _emit(args, data: dict, human: str) -> None:
+def _emit(args, data: dict, human: Iterable[str]) -> None:
+    """Print ``data`` as JSON under --json, else the lines of ``human``, read only then."""
     if args.json:
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
-        print(human)
+        print("\n".join(human))
 
 
 def _fmt_ints(xs) -> str:
@@ -94,7 +97,7 @@ def _cmd_info(args) -> int:
         "pseudo_frobenius": list(s.pseudo_frobenius),
         "type": s.type,
     }
-    human = "\n".join([
+    human = [
         f"semigroup           {s}",
         f"minimal generators  {_fmt_ints(s.minimal_generators)}",
         f"frobenius           {s.frobenius}",
@@ -102,7 +105,7 @@ def _cmd_info(args) -> int:
         f"gaps                {_fmt_ints(s.gaps)}",
         f"pseudo-frobenius    {_fmt_ints(s.pseudo_frobenius)}",
         f"type                {s.type}",
-    ])
+    ]
     _emit(args, data, human)
     return 0
 
@@ -111,7 +114,7 @@ def _cmd_classify(args) -> int:
     s = _semigroup(args)
     report = classify(s, args.method)
     data = {"semigroup": jsonio.semigroup_to_dict(s), "report": jsonio.report_to_dict(report)}
-    human = "\n".join([
+    human = [
         f"semigroup           {s}",
         f"symmetry class      {report.symmetry_class}",
         f"almost symmetric    {'yes' if report.almost_symmetric else 'no'}",
@@ -119,7 +122,7 @@ def _cmd_classify(args) -> int:
         f"frobenius           {report.frobenius}",
         f"second-type gaps    {_fmt_ints(report.second_type_gaps)}",
         f"pseudo-frobenius    {_fmt_ints(report.pseudo_frobenius)}",
-    ])
+    ]
     _emit(args, data, human)
     return 0
 
@@ -134,14 +137,14 @@ def _cmd_double(args) -> int:
         "double": jsonio.semigroup_to_dict(t),
         "report": jsonio.report_to_dict(report),
     }
-    human = "\n".join([
+    human = [
         f"base                {s}",
         f"ideal               {spec.ideal}",
         f"offset              {spec.odd_offset}",
         f"double              {t}",
         f"frobenius           {t.frobenius}",
         f"symmetry class      {report.symmetry_class} (type {report.type})",
-    ])
+    ]
     _emit(args, data, human)
     return 0
 
@@ -149,7 +152,7 @@ def _cmd_double(args) -> int:
 def _cmd_half(args) -> int:
     t = _semigroup(args)
     s = half(t)
-    _emit(args, {"semigroup": jsonio.semigroup_to_dict(s)}, f"half                {s}")
+    _emit(args, {"semigroup": jsonio.semigroup_to_dict(s)}, [f"half                {s}"])
     return 0
 
 
@@ -157,13 +160,13 @@ def _cmd_decompose(args) -> int:
     t = _semigroup(args)
     spec = decompose(t, args.b)
     data = {"spec": jsonio.spec_to_dict(spec)}
-    human = "\n".join([
+    human = [
         f"double              {t}",
         f"half                {spec.base}",
         f"ideal               {spec.ideal}",
         f"offset              {spec.odd_offset}",
         f"ideal minimum       {spec.ideal.min_element}",
-    ])
+    ]
     _emit(args, data, human)
     return 0
 
@@ -179,15 +182,13 @@ def _cmd_enumerate(args) -> int:
             fam = doubles_mod.enumerate_odd_doubles(s, args.max_frobenius)
         else:
             fam = doubles_mod.enumerate_symmetric_doubles(s, args.max_frobenius)
-    lines = [f"base                {s}",
-             f"members             {len(fam.members)} (exhaustive: {'yes' if fam.exhaustive else 'no'})"]
-    for cert in fam.members:
-        lines.append(
-            f"  {cert.double}  f={cert.double.frobenius}"
+    header = [f"base                {s}",
+              f"members             {len(fam.members)} (exhaustive: {'yes' if fam.exhaustive else 'no'})"]
+    rows = (f"  {cert.double}  f={cert.double.frobenius}"
             f"  {cert.report.symmetry_class} (type {cert.report.type})"
             f"  via b={cert.spec.odd_offset}, E={cert.spec.ideal}"
-        )
-    _emit(args, jsonio.family_to_dict(fam), "\n".join(lines))
+            for cert in fam.members)
+    _emit(args, jsonio.family_to_dict(fam), chain(header, rows))
     return 0
 
 
@@ -201,13 +202,13 @@ def _cmd_witness(args) -> int:
         "double": jsonio.semigroup_to_dict(t),
         "report": jsonio.report_to_dict(report),
     }
-    human = "\n".join([
+    human = [
         f"base                {s}",
         f"offset              {spec.odd_offset}",
         f"ideal               {spec.ideal}",
         f"double              {t}",
         f"symmetry class      {report.symmetry_class} (type {report.type})",
-    ])
+    ]
     _emit(args, data, human)
     return 0
 

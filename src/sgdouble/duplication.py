@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import AmbientMismatch, InvalidB, SumNotInS
 from .ideals import RelativeIdeal, _build
-from .semigroup import NumericalSemigroup, _bits, _from_mask, _pair_violation
+from .semigroup import NumericalSemigroup, _from_mask, _pair_violation
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,11 @@ def _spread(mask: int) -> int:
     return int("0".join(bin(mask)[2:]), 2)
 
 
+def _unspread(mask: int) -> int:
+    """The even bits of a nonnegative ``mask``, bit 2x moved to x: the inverse of _spread."""
+    return int(bin(mask)[:1:-1][::2][::-1], 2)
+
+
 def duplicate(spec: DuplicationSpec) -> NumericalSemigroup:
     """The duplication 2*S union (2*E + offset) as a canonical semigroup."""
     s, e, b = spec.base, spec.ideal, spec.odd_offset
@@ -67,14 +72,13 @@ def duplicate(spec: DuplicationSpec) -> NumericalSemigroup:
     lo = e.min_element
     mask = (_spread(s._window(0, (c_t + 1) // 2))
             | _spread(e._window(lo, (c_t - b + 1) // 2)) << (2 * lo + b))
-    return NumericalSemigroup._of(_bits(mask), c_t, mask)
+    return NumericalSemigroup._of(0, mask, c_t)
 
 
 def half(t: NumericalSemigroup) -> NumericalSemigroup:
     """One half of ``t``: the naturals s with 2s in t."""
-    bound = (t.conductor + 1) // 2
-    members = sum(1 << x for x in range(bound) if 2 * x in t)
-    return NumericalSemigroup._of(*_from_mask(members, 0, bound))
+    # 2s < c(t) for each s below the bound: read it off the even bits of t
+    return NumericalSemigroup._of(*_from_mask(_unspread(t._mask), 0, (t._c + 1) // 2))
 
 
 def decompose(t: NumericalSemigroup, b: int) -> DuplicationSpec:
@@ -88,10 +92,9 @@ def decompose(t: NumericalSemigroup, b: int) -> DuplicationSpec:
     if b % 2 == 0 or b < 0 or (2 * b) not in t:
         raise InvalidB(f"offset {b} must be odd with its double in the semigroup")
     s = half(t)
-    # {y : 2y + 1 in t}, which holds every y from c(t) // 2 on, shifted by
-    # (1 - b) / 2
-    bound = t.conductor // 2
-    odd_half = _build(s, sum(1 << y for y in range(bound) if 2 * y + 1 in t), 0, bound)
+    # {y : 2y + 1 in t}, the odd bits of t, which holds every y from
+    # c(t) // 2 on, shifted by (1 - b) / 2
+    odd_half = _build(s, _unspread(t._mask >> 1), 0, t._c // 2)
     return DuplicationSpec(s, odd_half.translate((1 - b) // 2), b)
 
 

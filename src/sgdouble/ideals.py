@@ -2,15 +2,14 @@
 
 A relative ideal of S is a set E of integers, possibly with negative
 members, such that E + S stays inside E and E is bounded below.  Like
-semigroups, ideals are stored canonically: the sorted members strictly below
-the ideal's conductor plus the conductor.  They share the semigroups' set
-core, a Python-int mask of the members from the smallest one up to the
-conductor, and compute on it: E <= F is one mask test, E + F an OR of shifts
-of F, E - F an AND of shifts of E, the reflection dual E's complement
-mirrored.  All operations are pure; every set-valued result is computed over
-a finite window that provably contains all behaviour (both operands are
-upper sets past their conductors, so each operation's result is constant
-outside the window used).
+semigroups, ideals are stored canonically, on the semigroups' set core: the
+smallest member, a Python-int mask of the members from it up to the
+conductor, and the conductor.  They compute on it: E <= F is one mask
+test, E + F an OR of shifts of F, E - F an AND of shifts of E, the
+reflection dual E's complement mirrored.  All operations are pure; every
+set-valued result is computed over a finite window that provably contains
+all behaviour (both operands are upper sets past their conductors, so each
+operation's result is constant outside the window used).
 
 Ideals remember the semigroup they live over.  Mixing ideals of different
 semigroups raises :class:`AmbientMismatch` instead of silently re-ambienting:
@@ -37,24 +36,22 @@ from .semigroup import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class RelativeIdeal(_UpSet):
     """Canonical, immutable relative ideal over ``ambient``.
 
     Direct construction validates structure only (sorted, conductor
     minimal); use :func:`relative_ideal` to validate the ideal property
     E + S <= E for untrusted input.  Ideals the kernel computes itself are
-    canonical by construction and skip both checks.  The smallest member and
-    the member mask are set once, at construction.
+    canonical by construction and skip both checks.  Besides the set core,
+    an ideal stores only ``ambient``, set right after the core.
     """
 
     ambient: NumericalSemigroup
-    elements_below: tuple[int, ...]
-    ideal_conductor: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements_below", tuple(self.elements_below))
-        elems, c = self.elements_below, self.ideal_conductor
+    def __init__(self, ambient: NumericalSemigroup, elements_below: Iterable[int],
+                 ideal_conductor: int):
+        elems, c = tuple(elements_below), ideal_conductor
         if any(a >= b for a, b in zip(elems, elems[1:])):
             raise ValueError("ideal elements must be strictly increasing")
         if elems:
@@ -65,24 +62,15 @@ class RelativeIdeal(_UpSet):
         lo = elems[0] if elems else c
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_mask", sum(1 << (x - lo) for x in elems))
-
-    @classmethod
-    def _of(cls, ambient: NumericalSemigroup, elements_below: tuple[int, ...],
-            ideal_conductor: int, mask: int) -> "RelativeIdeal":
-        """Unchecked construction from a canonical pair and its member mask."""
-        e = object.__new__(cls)
-        object.__setattr__(e, "ambient", ambient)
-        object.__setattr__(e, "elements_below", elements_below)
-        object.__setattr__(e, "ideal_conductor", ideal_conductor)
-        object.__setattr__(e, "_lo", elements_below[0] if elements_below else ideal_conductor)
-        object.__setattr__(e, "_mask", mask)
-        return e
+        object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "ambient", ambient)
 
     # -- basic queries ------------------------------------------------------
 
-    _c = property(attrgetter("ideal_conductor"))
-    _listed = property(attrgetter("elements_below"))
+    elements_below = property(attrgetter("_listed"))
+    ideal_conductor = property(attrgetter("_c"))
     min_element = property(attrgetter("_lo"), doc="Smallest member m(E).")
+    _shown = ("ambient", "elements_below", "ideal_conductor")  # the fields repr lists
 
     def _require_same_ambient(self, other: "RelativeIdeal") -> None:
         if self.ambient != other.ambient:
@@ -99,12 +87,9 @@ class RelativeIdeal(_UpSet):
 
     def translate(self, x: int) -> "RelativeIdeal":
         """The shifted ideal E + x."""
-        return RelativeIdeal._of(
-            self.ambient,
-            tuple(e + x for e in self.elements_below),
-            self.ideal_conductor + x,
-            self._mask,
-        )
+        e = RelativeIdeal._of(self._lo + x, self._mask, self._c + x)
+        object.__setattr__(e, "ambient", self.ambient)
+        return e
 
     def __add__(self, other):
         """Ideal sum {e + f}; an integer operand translates instead."""
@@ -170,7 +155,9 @@ def _build(ambient: NumericalSemigroup, mask: int, lo: int, bound: int) -> Relat
 
     For results known to be ideals.
     """
-    return RelativeIdeal._of(ambient, *_from_mask(mask, lo, bound))
+    e = RelativeIdeal._of(*_from_mask(mask, lo, bound))
+    object.__setattr__(e, "ambient", ambient)
+    return e
 
 
 def relative_ideal(ambient: NumericalSemigroup, elems: Iterable[int],
@@ -211,12 +198,12 @@ def canonical_ideal(s: NumericalSemigroup) -> RelativeIdeal:
 
 def naturals_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     """The naturals viewed as a relative ideal of ``s``."""
-    return RelativeIdeal._of(s, (), 0, 0)
+    return _build(s, 0, 0, 0)
 
 
 def unit_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     """``s`` viewed as a relative ideal of itself."""
-    return RelativeIdeal._of(s, s.small_elements, s.conductor, s._mask)
+    return _build(s, s._mask, 0, s._c)
 
 
 def is_numerical_semigroup_set(e: RelativeIdeal) -> bool:

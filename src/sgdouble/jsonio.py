@@ -10,13 +10,15 @@ family     {"base": semigroup, "exhaustive": bool,
             "members": [{"t": semigroup, "spec": spec, "class": str, "type": int}]}
 
 The decoders raise :class:`SemigroupError` on malformed input: a value that
-is not an object, a missing key, or a field of the wrong JSON type.
+is not an object, a missing key, or a field of the wrong JSON type.  A
+family member must also be the duplication of its spec, over the family's
+base, and its class must be one of the three kinds and fit the member.
 """
 
 from __future__ import annotations
 
-from .doubles import DoubleCertificate, DoubleFamily
-from .duplication import DuplicationSpec
+from .doubles import KIND_EVEN, KIND_ODD, KIND_SYMMETRIC, DoubleCertificate, DoubleFamily
+from .duplication import DuplicationSpec, duplicate
 from .errors import SemigroupError
 from .ideals import RelativeIdeal
 from .semigroup import ClassificationReport, NumericalSemigroup, classify
@@ -132,13 +134,21 @@ def family_to_dict(fam: DoubleFamily) -> dict:
 
 
 def family_from_dict(d: dict) -> DoubleFamily:
+    base = semigroup_from_dict(_field(d, "base", dict))
     members = []
     for m in _field(d, "members", list):
         spec = spec_from_dict(_field(m, "spec", dict))
         t = semigroup_from_dict(_field(m, "t", dict))
-        members.append(DoubleCertificate(t, spec, classify(t), _field(m, "class", str)))
-    return DoubleFamily(
-        semigroup_from_dict(_field(d, "base", dict)),
-        tuple(members),
-        _field(d, "exhaustive", bool),
-    )
+        kind = _field(m, "class", str)
+        if spec.base != base:
+            raise SemigroupError(f"malformed JSON: the spec of member {t} is not over the base")
+        if duplicate(spec) != t:
+            raise SemigroupError(f"malformed JSON: member {t} is not the duplication of its spec")
+        report = classify(t)
+        fits = {KIND_SYMMETRIC: report.symmetric,
+                KIND_ODD: report.almost_symmetric and report.type % 2 == 1,
+                KIND_EVEN: report.almost_symmetric and report.type % 2 == 0}
+        if not fits.get(kind):
+            raise SemigroupError(f"malformed JSON: class {kind!r} does not fit member {t}")
+        members.append(DoubleCertificate(t, spec, report, kind))
+    return DoubleFamily(base, tuple(members), _field(d, "exhaustive", bool))

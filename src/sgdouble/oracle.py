@@ -4,16 +4,15 @@ Everything here recomputes from first principles with naive loops over plain
 integer sets, deliberately sharing no set algebra with the kernel modules;
 agreement between the two routes is what the test suite and the CLI verify
 command establish.  The searches are exponential, so hard limits keep them
-at desk scale; the environment variable SGDOUBLE_LIMIT, a positive
-integer, overrides both limits at once (intended for tests only).
+at desk scale: Frobenius numbers up to SEMIGROUP_LIMIT for semigroups and
+ideals, and up to DOUBLE_LIMIT for doubles.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
 
-from .errors import BoundTooLarge, InvalidFrobenius, SemigroupError
+from .errors import BoundTooLarge, InvalidFrobenius
 from .ideals import RelativeIdeal, naturals_ideal, relative_ideal
 from .semigroup import (
     ALMOST_SYMMETRIC_PROPER,
@@ -28,20 +27,6 @@ from .semigroup import (
 
 SEMIGROUP_LIMIT = 20
 DOUBLE_LIMIT = 40
-
-
-def _limit(default: int) -> int:
-    env = os.environ.get("SGDOUBLE_LIMIT")
-    if not env:
-        return default
-    try:
-        limit = int(env)
-    except ValueError:
-        pass
-    else:
-        if limit >= 1:
-            return limit
-    raise SemigroupError(f"SGDOUBLE_LIMIT must be a positive integer, got {env!r}")
 
 
 def _members(s: NumericalSemigroup, hi: int) -> list[int]:
@@ -62,8 +47,8 @@ def enum_semigroups_with_frobenius(frob: int) -> list[NumericalSemigroup]:
         return [NATURALS]
     if frob < 1:
         raise ValueError("the Frobenius number of a semigroup is -1 or positive")
-    if frob > _limit(SEMIGROUP_LIMIT):
-        raise BoundTooLarge(f"Frobenius bound {frob} exceeds the configured limit")
+    if frob > SEMIGROUP_LIMIT:
+        raise BoundTooLarge(f"Frobenius bound {frob} exceeds the limit {SEMIGROUP_LIMIT}")
 
     results: list[NumericalSemigroup] = []
     chosen: list[int] = []
@@ -99,8 +84,8 @@ def enum_relative_ideals(s: NumericalSemigroup, fe: int) -> list[RelativeIdeal]:
         raise ValueError("ideal Frobenius numbers start at -1")
     if fe == -1:
         return [naturals_ideal(s)]
-    if fe > _limit(SEMIGROUP_LIMIT):
-        raise BoundTooLarge(f"Frobenius bound {fe} exceeds the configured limit")
+    if fe > SEMIGROUP_LIMIT:
+        raise BoundTooLarge(f"Frobenius bound {fe} exceeds the limit {SEMIGROUP_LIMIT}")
 
     smem = [x for x in _members(s, fe + 1) if x > 0]
     out = []
@@ -200,8 +185,8 @@ def _iter_doubles(s: NumericalSemigroup, max_frobenius: int):
 
 def brute_all_doubles(s: NumericalSemigroup, max_frobenius: int) -> list[NumericalSemigroup]:
     """Every double of ``s`` with Frobenius number at most the bound."""
-    if max_frobenius > _limit(DOUBLE_LIMIT):
-        raise BoundTooLarge(f"double bound {max_frobenius} exceeds the configured limit")
+    if max_frobenius > DOUBLE_LIMIT:
+        raise BoundTooLarge(f"double bound {max_frobenius} exceeds the limit {DOUBLE_LIMIT}")
     return sorted(_iter_doubles(s, max_frobenius), key=canonical_key)
 
 
@@ -215,8 +200,8 @@ def brute_doubles(s: NumericalSemigroup, parity: str,
     """
     if parity not in ("even", "odd", "any"):
         raise ValueError(f"parity must be even, odd, or any, got {parity!r}")
-    if max_frobenius > _limit(DOUBLE_LIMIT):
-        raise BoundTooLarge(f"double bound {max_frobenius} exceeds the configured limit")
+    if max_frobenius > DOUBLE_LIMIT:
+        raise BoundTooLarge(f"double bound {max_frobenius} exceeds the limit {DOUBLE_LIMIT}")
     wanted = {"even": (0,), "odd": (1,), "any": (0, 1)}[parity]
     out = []
     for t in _iter_doubles(s, max_frobenius):

@@ -2,9 +2,10 @@
 
 A numerical semigroup is an additively closed subset of the nonnegative
 integers containing 0 whose complement is finite.  Values are kept in a
-canonical form -- the sorted elements strictly below the conductor, plus the
-conductor itself -- so two values represent the same semigroup exactly when
-they compare equal.
+canonical form -- a Python-int mask of the elements strictly below the
+conductor, plus the conductor itself -- so two values represent the same
+semigroup exactly when they compare equal.  The sorted element list is read
+from the mask when output asks for it.
 
 The full set of naturals is represented by an empty element list and
 conductor 0.  Its invariants follow the conventions ``frobenius == -1``,
@@ -52,16 +53,17 @@ def _bits(mask: int, start: int = 0) -> tuple[int, ...]:
     return tuple(compress(range(start, start + len(flags)), flags))
 
 
-def _from_mask(mask: int, lo: int, bound: int) -> tuple[tuple[int, ...], int, int]:
-    """Canonical form of {lo + i : bit i of ``mask``} | [bound, oo), for lo <= bound.
+def _from_mask(mask: int, lo: int, bound: int) -> tuple[int, int, int]:
+    """Canonical core of {lo + i : bit i of ``mask``} | [bound, oo), for lo <= bound.
 
-    Returns the members below the least conductor c, c, and their mask from
-    the smallest member on; bits of ``mask`` at or past ``bound`` are ignored.
+    Returns the smallest member m, the mask of the members below the least
+    conductor c from m on, and c; bits of ``mask`` at or past ``bound`` are
+    ignored.
     """
     c = lo + (~mask & ((1 << (bound - lo)) - 1)).bit_length()  # past the last non-member
     listed = mask & ((1 << (c - lo)) - 1)
-    elements = _bits(listed, lo)
-    return elements, c, listed >> (elements[0] - lo) if elements else 0
+    skip = (listed & -listed).bit_length() - 1 if listed else c - lo
+    return lo + skip, listed >> skip, c
 
 
 def _pair_violation(mem: int, lo: int, shift: int, target: "_UpSet"):
@@ -85,13 +87,39 @@ def _reverse(mask: int, width: int) -> int:
     return int(bin(mask)[2:].zfill(width)[::-1], 2)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class _UpSet:
     """A set of integers, bounded below, that holds every integer from its conductor on.
 
-    The set core of semigroups and ideals.  Subclasses provide the smallest
-    member ``_lo``, the conductor ``_c``, the members below it ``_listed``
-    and ``_mask``, with bit x - ``_lo`` set for each listed member x.
+    The set core of semigroups and ideals, and their only stored data: the
+    smallest member ``_lo``, ``_mask`` with bit x - ``_lo`` set for each
+    member x below the conductor, and the conductor ``_c``.  Equality and
+    hashing compare these integers.
     """
+
+    _lo: int
+    _mask: int
+    _c: int
+
+    @classmethod
+    def _of(cls, lo: int, mask: int, c: int):
+        """Unchecked construction from a canonical core."""
+        u = object.__new__(cls)
+        # one field at a time, always in this order, so that instance dicts
+        # share their keys
+        object.__setattr__(u, "_lo", lo)
+        object.__setattr__(u, "_mask", mask)
+        object.__setattr__(u, "_c", c)
+        return u
+
+    @cached_property
+    def _listed(self) -> tuple[int, ...]:
+        """The ascending members below the conductor, read from the mask."""
+        return _bits(self._mask, self._lo)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
 
     def _window(self, start: int, stop: int) -> int:
         """Bit x - start is set for each member x in [start, stop)."""
@@ -115,7 +143,7 @@ class _UpSet:
         return "{" + ", ".join(map(str, (*self._listed, self._c))) + "->}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class NumericalSemigroup(_UpSet):
     """Canonical, immutable numerical semigroup.
 
@@ -123,48 +151,37 @@ class NumericalSemigroup(_UpSet):
     integer >= ``conductor`` is a member.  Direct construction performs cheap
     structural validation only; use :meth:`from_small_elements` to also check
     additive closure of untrusted input.  Semigroups the kernel computes
-    itself are canonical by construction and skip both checks.
+    itself are canonical by construction and skip both checks.  The smallest
+    member ``_lo`` is always 0.
     """
 
-    small_elements: tuple[int, ...]
-    conductor: int
+    small_elements = property(attrgetter("_listed"))
+    conductor = property(attrgetter("_c"))
+    _shown = ("small_elements", "conductor")  # the fields repr lists
 
-    _lo = 0  # every semigroup's smallest member
-    _c = property(attrgetter("conductor"))
-    _listed = property(attrgetter("small_elements"))
-
-    def __post_init__(self):
-        object.__setattr__(self, "small_elements", tuple(self.small_elements))
-        elems, c = self.small_elements, self.conductor
+    def __init__(self, small_elements: Iterable[int], conductor: int):
+        elems, c = tuple(small_elements), conductor
         if c < 0:
             raise ValueError("conductor must be nonnegative")
         if c == 0:
             if elems:
                 raise ValueError("the naturals are stored with an empty element list")
-            return
-        if elems and elems[0] < 0:
-            raise ValueError("elements must be nonnegative")
-        if not elems or elems[0] != 0:
-            raise MissingZero("a numerical semigroup must contain 0")
-        if any(a >= b for a, b in zip(elems, elems[1:])):
-            raise ValueError("small elements must be strictly increasing")
-        if elems[-1] == c - 1:
-            raise FrobeniusInSet(
-                f"{c - 1} is listed but equals conductor - 1; the conductor is not minimal"
-            )
-        if elems[-1] >= c:
-            raise ValueError("small elements must lie strictly below the conductor")
-
-    @classmethod
-    def _of(cls, small_elements: tuple[int, ...], conductor: int,
-            mask: int | None = None) -> "NumericalSemigroup":
-        """Unchecked construction from a canonical pair, and its mask if known."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "small_elements", small_elements)
-        object.__setattr__(s, "conductor", conductor)
-        if mask is not None:
-            object.__setattr__(s, "_mask", mask)
-        return s
+        else:
+            if elems and elems[0] < 0:
+                raise ValueError("elements must be nonnegative")
+            if not elems or elems[0] != 0:
+                raise MissingZero("a numerical semigroup must contain 0")
+            if any(a >= b for a, b in zip(elems, elems[1:])):
+                raise ValueError("small elements must be strictly increasing")
+            if elems[-1] == c - 1:
+                raise FrobeniusInSet(
+                    f"{c - 1} is listed but equals conductor - 1; the conductor is not minimal"
+                )
+            if elems[-1] >= c:
+                raise ValueError("small elements must lie strictly below the conductor")
+        object.__setattr__(self, "_lo", 0)
+        object.__setattr__(self, "_mask", sum(1 << x for x in elems))
+        object.__setattr__(self, "_c", c)
 
     # -- construction -----------------------------------------------------
 
@@ -201,8 +218,7 @@ class NumericalSemigroup(_UpSet):
                         least[rr] = w
                         changed = True
         conductor = max(least) - m + 1  # type: ignore[type-var]
-        small = tuple(x for x in range(conductor) if least[x % m] <= x)
-        return cls._of(small, conductor)
+        return cls._of(0, sum(1 << x for x in range(conductor) if least[x % m] <= x), conductor)
 
     @classmethod
     def from_small_elements(cls, elems: Iterable[int], conductor: int) -> "NumericalSemigroup":
@@ -216,27 +232,21 @@ class NumericalSemigroup(_UpSet):
 
     # -- membership and invariants ----------------------------------------
 
-    @cached_property
-    def _mask(self) -> int:
-        """Bit x is set for each member x below the conductor."""
-        return sum(1 << x for x in self.small_elements)
-
     @property
     def is_naturals(self) -> bool:
-        return self.conductor == 0
+        return self._c == 0
 
     @property
     def multiplicity(self) -> int:
         """Smallest nonzero element."""
         if self.is_naturals:
             return 1
-        if len(self.small_elements) > 1:
-            return self.small_elements[1]
-        return self.conductor
+        nonzero = self._mask & ~1
+        return (nonzero & -nonzero).bit_length() - 1 if nonzero else self._c
 
     @property
     def _gap_mask(self) -> int:
-        return self._mask ^ ((1 << self.conductor) - 1)
+        return self._mask ^ ((1 << self._c) - 1)
 
     @cached_property
     def gaps(self) -> tuple[int, ...]:
@@ -246,7 +256,7 @@ class NumericalSemigroup(_UpSet):
     @cached_property
     def _second_type_mask(self) -> int:
         gaps = self._gap_mask
-        return gaps & _reverse(gaps, self.conductor)
+        return gaps & _reverse(gaps, self._c)
 
     @cached_property
     def second_type_gaps(self) -> tuple[int, ...]:
@@ -259,7 +269,7 @@ class NumericalSemigroup(_UpSet):
         # for every minimal generator g.  For a gap x, x + g stays below
         # c + max(g), so the members window must reach that far.
         gens = self.minimal_generators
-        members = self._window(0, self.conductor + gens[-1])
+        members = self._window(0, self._c + gens[-1])
         pf = self._gap_mask
         for g in gens:
             pf &= members >> g
@@ -281,7 +291,7 @@ class NumericalSemigroup(_UpSet):
     def minimal_generators(self) -> tuple[int, ...]:
         """Unique minimal generating set: nonzero elements not a sum of two."""
         # any element > conductor + multiplicity splits off the multiplicity
-        hi = self.conductor + self.multiplicity + 1
+        hi = self._c + self.multiplicity + 1
         nonzero = self._window(0, hi) & ~1
         sums = 0
         # a sum a + b < hi of members 0 < a <= b has a <= hi // 2

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sgdouble import classify, enumerate_even_doubles
+from sgdouble import classify, enumerate_even_doubles, enumerate_odd_doubles
 from sgdouble.cli import main
 from sgdouble import jsonio
 
@@ -95,6 +95,16 @@ def test_enumerate_symmetric(capsys):
     assert len(data["members"]) == 3  # f(T) = 11, 13, 15
 
 
+def test_enumerate_odd(capsys):
+    code, data, _ = run_json(
+        capsys, "enumerate-doubles", "--gens", "3,5,7",
+        "--parity", "odd", "--max-frobenius", "15",
+    )
+    assert code == 0
+    assert jsonio.family_from_dict(data) == enumerate_odd_doubles(S1, 15)
+    assert {m["class"] for m in data["members"]} == {"odd-almost-symmetric"}
+
+
 def test_enumerate_requires_bound_for_odd(capsys):
     code, _, err = run(capsys, "enumerate-doubles", "--gens", "3,5,7", "--parity", "odd")
     assert code == 2
@@ -133,10 +143,23 @@ def test_usage_error_missing_semigroup(capsys):
     assert "usage error" in err
 
 
+def test_usage_error_both_semigroup_forms(capsys):
+    code, out, err = run(capsys, "info", "--gens", "3,5", "--small", "0,3", "--conductor", "5")
+    assert code == 2 and out == ""
+    assert "usage error" in err and "not both" in err
+
+
 def test_usage_error_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_usage_error_bad_integer_list(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["info", "--gens", "3,x"])
+    assert exc.value.code == 2
+    assert "expected comma-separated integers, got '3,x'" in capsys.readouterr().err
 
 
 def test_verify_small(capsys):

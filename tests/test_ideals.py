@@ -46,6 +46,8 @@ class TestConstruction:
             RelativeIdeal(S1, (3, 2), 5)
         with pytest.raises(ValueError):
             RelativeIdeal(S1, (0, 4), 5)
+        with pytest.raises(ValueError, match="strictly below the conductor"):
+            RelativeIdeal(S1, (0, 6), 5)
 
 
 def test_maximal_ideal():
@@ -65,6 +67,7 @@ def test_translate():
     assert K1.translate(0) == K1
     assert F2.translate(2) == maximal_ideal(S2)
     assert E2.translate(5).translate(-5) == E2
+    assert E2 - 3 == E2.translate(-3) == RelativeIdeal(S1, (-3,), -1)
 
 
 class TestSum:

@@ -61,6 +61,7 @@ def _malformed_cases():
     spec = jsonio.spec_to_dict(DuplicationSpec(S2, F2, 5))
     report = jsonio.report_to_dict(classify(S1))
     family = jsonio.family_to_dict(enumerate_even_doubles(S1))
+    first, second, *rest = family["members"]
     return [
         (jsonio.semigroup_from_dict, {"small": [0, 3]}),
         (jsonio.semigroup_from_dict, {**sg, "conductor": "5"}),
@@ -78,6 +79,12 @@ def _malformed_cases():
         (jsonio.family_from_dict, {**family, "members": {}}),
         (jsonio.family_from_dict, {**family, "members": [{}]}),
         (jsonio.family_from_dict, {**family, "exhaustive": "yes"}),
+        (jsonio.family_from_dict, {**family, "base": jsonio.semigroup_to_dict(S2)}),
+        (jsonio.family_from_dict, {**family, "members": [
+            {**first, "t": second["t"]}, {**second, "t": first["t"]}, *rest]}),
+        # the first member of the family is pseudo-symmetric
+        (jsonio.family_from_dict, {**family, "members": [{**first, "class": "symmetric"}]}),
+        (jsonio.family_from_dict, {**family, "members": [{**first, "class": "almost"}]}),
     ]
 
 

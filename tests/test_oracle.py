@@ -2,7 +2,7 @@ import pytest
 
 from sgdouble import NATURALS, NumericalSemigroup, classify, duplicate, half, witness_even_double
 from sgdouble import oracle
-from sgdouble.errors import BoundTooLarge, InvalidFrobenius, SemigroupError
+from sgdouble.errors import BoundTooLarge, InvalidFrobenius
 
 from cases import D1, D2, D3, E2, E3, E4, S1, S2
 
@@ -30,21 +30,6 @@ def test_enum_semigroups_errors():
         oracle.enum_semigroups_with_frobenius(21)
 
 
-def test_limit_env_override(monkeypatch):
-    monkeypatch.setenv("SGDOUBLE_LIMIT", "4")
-    with pytest.raises(BoundTooLarge):
-        oracle.enum_semigroups_with_frobenius(5)
-    monkeypatch.setenv("SGDOUBLE_LIMIT", "22")
-    assert len(oracle.enum_semigroups_with_frobenius(21)) > 1000
-
-
-@pytest.mark.parametrize("value", ["abc", "4.5", "0", "-3"])
-def test_limit_env_rejects_non_positive_integers(monkeypatch, value):
-    monkeypatch.setenv("SGDOUBLE_LIMIT", value)
-    with pytest.raises(SemigroupError, match="SGDOUBLE_LIMIT"):
-        oracle.enum_semigroups_with_frobenius(5)
-
-
 def test_ideal_census():
     assert oracle.enum_relative_ideals(S1, -1) == [oracle.naturals_ideal(S1)]
     assert oracle.enum_relative_ideals(S1, 1) == [E2]
@@ -58,6 +43,8 @@ def test_ideal_census_errors():
         oracle.enum_relative_ideals(S1, 0)
     with pytest.raises(ValueError):
         oracle.enum_relative_ideals(S1, -2)
+    with pytest.raises(BoundTooLarge):
+        oracle.enum_relative_ideals(S1, 21)
 
 
 def test_brute_doubles_reference_family():
@@ -86,6 +73,8 @@ def test_brute_doubles_errors():
         oracle.brute_doubles(S1, "weird", 8)
     with pytest.raises(BoundTooLarge):
         oracle.brute_doubles(S1, "even", 41)
+    with pytest.raises(BoundTooLarge):
+        oracle.brute_all_doubles(S1, 41)
 
 
 def test_brute_classify_agrees_with_kernel():

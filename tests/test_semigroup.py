@@ -74,6 +74,16 @@ class TestFromSmallElements:
         with pytest.raises(ValueError):
             NumericalSemigroup([0], 0)
 
+    @pytest.mark.parametrize("elems, conductor, message", [
+        ((), -1, "conductor must be nonnegative"),
+        ((-1, 0, 3), 5, "elements must be nonnegative"),
+        ((0, 3, 3), 5, "strictly increasing"),
+        ((0, 3, 6), 5, "strictly below the conductor"),
+    ])
+    def test_structural_rejects(self, elems, conductor, message):
+        with pytest.raises(ValueError, match=message):
+            NumericalSemigroup(elems, conductor)
+
     def test_roundtrip(self):
         for s in (S1, S2, T1, T2, NATURALS):
             assert NumericalSemigroup.from_small_elements(s.small_elements, s.conductor) == s
