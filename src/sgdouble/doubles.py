@@ -105,6 +105,20 @@ def _odd_ideal_conditions(s: NumericalSemigroup, e: RelativeIdeal):
     yield is_numerical_semigroup_set(k - tilde)
 
 
+def _odd_ideals(s: NumericalSemigroup, fe: int) -> list[RelativeIdeal]:
+    """The ideals at f(E) = fe inside the sandwich K - (M - M) <= tilde(E) <= K.
+
+    With shift = f(S) - fe, tilde(E) = E + shift, so E lies between
+    K - (M - M) - shift, which must not reach below m(E) = 0, and K - shift.
+    """
+    k, _, kmm = _base_context(s)
+    shift = s.frobenius - fe
+    if kmm._lo < shift:
+        return []
+    window = (shift, shift + fe + 1)
+    return _ideals_between(s, fe, kmm._window(*window), k._window(*window))
+
+
 def _odd_ideal_part(s: NumericalSemigroup, e: RelativeIdeal):
     """The odd-type check of E, as the offset condition left to decide.
 
@@ -142,6 +156,11 @@ def odd_double_check(spec: DuplicationSpec) -> bool:
     return offset_ok is not None and offset_ok(b)
 
 
+def _even_ideals(s: NumericalSemigroup, fe: int) -> list[RelativeIdeal]:
+    """The ideals at f(E) = fe containing K, as K <= E - E requires (0 is in E)."""
+    return _ideals_between(s, fe, canonical_ideal(s)._window(0, fe + 1))
+
+
 def _even_ideal_part(s: NumericalSemigroup, e: RelativeIdeal):
     """The even-type check of E, as the offset condition left to decide.
 
@@ -177,62 +196,92 @@ def even_double_check(spec: DuplicationSpec) -> bool:
 # -- search space -------------------------------------------------------------
 
 
+def _ideals_between(s: NumericalSemigroup, fe: int, need: int = 0,
+                    allow: int = -1) -> list[RelativeIdeal]:
+    """The ideals E of ``s`` with m(E) = 0 and f(E) = ``fe`` between two bounds, unsorted.
+
+    ``need`` and ``allow`` are windows on [0, fe] (bit x for the integer x)
+    of two relative ideals of ``s``; E must contain the members of the first
+    there and hold no integer outside the second.  Such an ideal is S plus a
+    set X of gaps below fe (fe itself must be a gap, else there are none).
+    A gap g can join X only when fe - g is not in S, and X must be an up-set
+    of those gaps under g <= h iff h - g is in S; it is enough to close X
+    under the minimal generators.  The walk takes the eligible gaps in
+    decreasing order: a gap outside ``allow`` is skipped, a gap in ``need``
+    replaces the selections made so far with their extensions by it, and any
+    other gap adds those extensions.  A selection extends by g exactly when
+    the gaps g + generator below fe are already chosen.  Both bounds are
+    closed under adding S, so the gaps a forced gap needs are forced too and
+    every selection extends to at least one ideal: the cost grows with the
+    number of ideals returned times the number of eligible gaps, not with
+    2^(gaps below fe).
+    """
+    if fe == -1:
+        return [naturals_ideal(s)]
+    if fe < 1 or fe in s:
+        return []
+    base = s._window(0, fe)
+    free = [g for g in s.gaps if g < fe and (fe - g) not in s]
+    eligible = sum(1 << g for g in free)
+    # below fe + 1, E holds the base and may hold eligible gaps, but never fe
+    if base & ~allow or need & ~(allow & (base | eligible)):
+        return []
+    gaps = s._gap_mask & ((1 << fe) - 1)
+    gens = sum(1 << a for a in s.minimal_generators)
+    chosen = [0]  # bitmasks over the gaps selected so far
+    for g in reversed(free):
+        if not allow >> g & 1:
+            continue
+        # g + a below fe and outside S is an eligible gap larger than g
+        required = gens << g & gaps
+        grown = [c | 1 << g for c in chosen if c & required == required]
+        chosen = grown if need >> g & 1 else chosen + grown
+    return [_build(s, base | c, 0, fe + 1) for c in chosen]
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal, ...]:
     """All relative ideals of ``s`` with smallest element 0 and Frobenius ``fe``.
 
-    Such an ideal is S plus a set X of gaps below fe (fe itself must be a
-    gap, else there are none).  A gap g can join X only when fe - g is not
-    in S, and X must be an up-set of those gaps under g <= h iff h - g is in
-    S; it is enough to close X under the minimal generators.  The walk takes
-    the eligible gaps in decreasing order and extends every selection made
-    so far by g exactly when the gaps g + generator below fe are already
-    chosen.  Every selection extends to at least one ideal, so the cost grows
-    with the number of ideals times the number of eligible gaps, not with
-    2^(gaps below fe).  Results come sorted by their element lists; fe values
-    that admit no ideal yield the empty tuple.
+    Results come sorted by their element lists, and this order is part of
+    the public contract; the enumerators do not rely on it, since they walk
+    only the ideals inside their checks' bounds.  fe values that admit no
+    ideal yield the empty tuple.
     """
-    if fe == -1:
-        return (naturals_ideal(s),)
-    if fe < 1 or fe in s:
-        return ()
-    base = s._window(0, fe)
-    gaps = s._gap_mask & ((1 << fe) - 1)
-    gens = sum(1 << a for a in s.minimal_generators)
-    free = [g for g in s.gaps if g < fe and (fe - g) not in s]
-    chosen = [0]  # bitmasks over the gaps selected so far
-    for g in reversed(free):
-        # g + a below fe and outside S is an eligible gap larger than g
-        need = gens << g & gaps
-        chosen += [c | 1 << g for c in chosen if c & need == need]
-    out = [_build(s, base | c, 0, fe + 1) for c in chosen]
-    out.sort(key=lambda e: e.elements_below)
+    out = _ideals_between(s, fe)
+    # m(E) = 0 throughout: member x reads "1" and a non-member below the
+    # largest member "2" at position x, and a string sorts before its
+    # extensions as an element list does
+    as_list = str.maketrans("0", "2")
+    out.sort(key=lambda e: bin(e._mask)[:1:-1].translate(as_list))
     return tuple(out)
 
 
-def _specs(s: NumericalSemigroup, offsets, ideal_part):
+def _specs(s: NumericalSemigroup, offsets, ideals, ideal_part):
     """Yield the valid normalized specs over ``s`` that pass a two-part check.
 
     For each f(E), ``offsets(f(E))`` gives the candidate odd offsets, kept
-    when they lie in S.  ``ideal_part(s, e)`` runs once per ideal and is
-    None when E fails, else the predicate that decides each offset passing
-    the sum filter.
+    when they lie in S, and ``ideals(s, f(E))`` the ideals to check.
+    ``ideal_part(s, e)`` runs once per ideal and is None when E fails, else
+    the predicate that decides each offset; an offset it accepts must then
+    pass the sum filter.
     """
     for fe in (-1, *s.gaps):
         bs = [b for b in offsets(fe) if b in s]
         if not bs:
             continue
-        for e in ideals_with_frobenius(s, fe):
+        for e in ideals(s, fe):
             offset_ok = ideal_part(s, e)
             if offset_ok is None:
                 continue
             for b in bs:
+                if not offset_ok(b):
+                    continue
                 try:  # the spec's own validation is the sum filter
                     spec = DuplicationSpec(s, e, b)
                 except SumNotInS:
                     continue
-                if offset_ok(b):
-                    yield spec
+                yield spec
 
 
 def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
@@ -243,7 +292,7 @@ def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
     odd branch 2 f(E) + offset; callers pass max_frobenius >= 2 f(S).
     """
     return _specs(s, lambda fe: range(1, max_frobenius - 2 * fe + 1, 2),
-                  lambda s, e: lambda b: True)
+                  ideals_with_frobenius, lambda s, e: lambda b: True)
 
 
 def _family(base: NumericalSemigroup, specs, kind: str, exhaustive: bool) -> DoubleFamily:
@@ -296,7 +345,7 @@ def enumerate_odd_doubles(s: NumericalSemigroup, max_frobenius: int) -> DoubleFa
         raise BoundTooSmall(f"bound must be at least {2 * f + 1}")
     # 2 f(S) < f(T) = 2 f(E) + b <= max_frobenius
     specs = _specs(s, lambda fe: range(max(1, 2 * f + 1 - 2 * fe), max_frobenius - 2 * fe + 1, 2),
-                   _odd_ideal_part)
+                   _odd_ideals, _odd_ideal_part)
     return _family(s, specs, KIND_ODD, False)
 
 
@@ -312,7 +361,7 @@ def enumerate_even_doubles(s: NumericalSemigroup) -> DoubleFamily:
         return DoubleFamily(s, (), True)
     f = s.frobenius
     # 2 f(E) + b < 2 f(S)
-    specs = _specs(s, lambda fe: range(3, 2 * f - 2 * fe, 2), _even_ideal_part)
+    specs = _specs(s, lambda fe: range(3, 2 * f - 2 * fe, 2), _even_ideals, _even_ideal_part)
     return _family(s, specs, KIND_EVEN, True)
 
 

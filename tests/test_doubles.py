@@ -17,7 +17,7 @@ from sgdouble import (
     symmetric_double_check,
     witness_even_double,
 )
-from sgdouble import oracle
+from sgdouble import doubles, oracle
 from sgdouble.doubles import KIND_EVEN, ideals_with_frobenius
 from sgdouble.errors import (
     BoundTooSmall,
@@ -25,7 +25,7 @@ from sgdouble.errors import (
     IsNaturals,
     NotAlmostSymmetric,
 )
-from sgdouble.ideals import canonical_ideal, unit_ideal
+from sgdouble.ideals import canonical_ideal, maximal_ideal, unit_ideal
 
 from cases import D1, D2, D3, E1, E2, F2, S1, S2, ST1, T1, T2
 
@@ -227,6 +227,32 @@ def test_ideals_with_frobenius_matches_oracle():
         for fe in (-1, *range(1, s.frobenius + 1)):
             kernel = list(ideals_with_frobenius(s, fe))
             assert kernel == oracle.enum_relative_ideals(s, fe), (s, fe)
+
+
+def test_enumerators_walk_only_ideals_inside_their_check_bounds():
+    # every S with f(S) <= 11, at every fe: the odd enumerator walks exactly
+    # the ideals inside K - (M - M) <= tilde(E) <= K, the even one exactly
+    # those containing K, and neither bound drops an ideal that its check's
+    # E-only part accepts
+    bases = [s for f in (-1, *range(1, 12)) for s in oracle.enum_semigroups_with_frobenius(f)]
+    assert len(bases) == 131
+    walked = total = 0
+    for s in bases:
+        k = canonical_ideal(s)
+        m = maximal_ideal(s)
+        kmm = k - (m - m)
+        for fe in (-1, *range(1, s.frobenius + 1)):
+            pool = ideals_with_frobenius(s, fe)
+            total += 2 * len(pool)
+            for walk, bound, part in (
+                    (doubles._odd_ideals, lambda e: kmm <= e.tilde() <= k, doubles._odd_ideal_part),
+                    (doubles._even_ideals, lambda e: k <= e, doubles._even_ideal_part)):
+                inside = [e for e in pool if bound(e)]
+                got = walk(s, fe)
+                walked += len(got)
+                assert sorted(got, key=lambda e: e.elements_below) == inside, (s, fe)
+                assert all(bound(e) for e in pool if part(s, e) is not None), (s, fe)
+    assert 0 < walked < total / 2
 
 
 @pytest.mark.slow
