@@ -124,13 +124,13 @@ def _odd_ideal_part(s: NumericalSemigroup, e: RelativeIdeal):
 
     None when one of the conditions of ``_odd_ideal_conditions`` fails, else
     the predicate b + shift + E + K <= M on the offset b, with shift =
-    f(E) - f(S) and shift + E + K computed once.
+    f(E) - f(S): the membership of b in M - (shift + E + K), an ideal
+    computed once for the many offsets the enumerator tries.
     """
     if not all(_odd_ideal_conditions(s, e)):
         return None
     k, m, _ = _base_context(s)
-    shifted_sum = (e + k).translate(e.frobenius - s.frobenius)
-    return lambda b: shifted_sum.translate(b) <= m
+    return (m - (e + k).translate(e.frobenius - s.frobenius)).__contains__
 
 
 def odd_necessary_conditions(spec: DuplicationSpec) -> OddConditionReport:
@@ -156,22 +156,33 @@ def odd_double_check(spec: DuplicationSpec) -> bool:
     return offset_ok is not None and offset_ok(b)
 
 
-def _even_ideals(s: NumericalSemigroup, fe: int) -> list[RelativeIdeal]:
-    """The ideals at f(E) = fe containing K, as K <= E - E requires (0 is in E)."""
-    return _ideals_between(s, fe, canonical_ideal(s)._window(0, fe + 1))
+def _even_ideals(s: NumericalSemigroup):
+    """For each f(E) = fe, the ideals at fe with K <= E - E, that is E + K <= E (0 is in E).
+
+    E then holds every sum of members of K, so that additive closure,
+    computed once here, is the lower bound of the walk, and the walk closes
+    its selections under K.
+    """
+    k = canonical_ideal(s)
+    closure = k
+    while (grown := closure + k) != closure:
+        closure = grown
+    return lambda fe: _ideals_between(s, fe, closure._window(0, fe + 1), close=k)
 
 
 def _even_ideal_part(s: NumericalSemigroup, e: RelativeIdeal):
-    """The even-type check of E, as the offset condition left to decide.
+    """The even-type check of E with K <= E - E, as the offset condition left to decide.
 
-    None when K <= E - E fails, else the predicate M - E <= (E - M) + b on
-    the offset b.  Assumes ``s`` is almost symmetric.
+    The predicate M - E <= (E - M) + b on the offset b, together with the
+    sum filter E + E + b <= S, which every valid spec meets: the memberships
+    of -b in (E - M) - (M - E) and of b in S - (E + E), ideals computed once
+    for the many offsets the enumerator tries.  Assumes ``s`` is almost
+    symmetric.
     """
-    k, m, _ = _base_context(s)
-    if not k <= (e - e):
-        return None
-    m_minus_e, e_minus_m = m - e, e - m
-    return lambda b: m_minus_e <= e_minus_m.translate(b)
+    _, m, _ = _base_context(s)
+    offsets = (e - m) - (m - e)
+    sums = unit_ideal(s) - (e + e)
+    return lambda b: -b in offsets and b in sums
 
 
 def even_double_check(spec: DuplicationSpec) -> bool:
@@ -189,51 +200,54 @@ def even_double_check(spec: DuplicationSpec) -> bool:
         )
     if not classify(s).almost_symmetric:
         return False
-    offset_ok = _even_ideal_part(s, e)
-    return offset_ok is not None and offset_ok(b)
+    return canonical_ideal(s) <= e - e and _even_ideal_part(s, e)(b)
 
 
 # -- search space -------------------------------------------------------------
 
 
-def _ideals_between(s: NumericalSemigroup, fe: int, need: int = 0,
-                    allow: int = -1) -> list[RelativeIdeal]:
+def _ideals_between(s: NumericalSemigroup, fe: int, need: int = 0, allow: int = -1,
+                    close: RelativeIdeal | NumericalSemigroup | None = None,
+                    ) -> list[RelativeIdeal]:
     """The ideals E of ``s`` with m(E) = 0 and f(E) = ``fe`` between two bounds, unsorted.
 
     ``need`` and ``allow`` are windows on [0, fe] (bit x for the integer x)
     of two relative ideals of ``s``; E must contain the members of the first
-    there and hold no integer outside the second.  Such an ideal is S plus a
-    set X of gaps below fe (fe itself must be a gap, else there are none).
-    A gap g can join X only when fe - g is not in S, and X must be an up-set
-    of those gaps under g <= h iff h - g is in S; it is enough to close X
-    under the minimal generators.  The walk takes the eligible gaps in
-    decreasing order: a gap outside ``allow`` is skipped, a gap in ``need``
-    replaces the selections made so far with their extensions by it, and any
-    other gap adds those extensions.  A selection extends by g exactly when
-    the gaps g + generator below fe are already chosen.  Both bounds are
-    closed under adding S, so the gaps a forced gap needs are forced too and
-    every selection extends to at least one ideal: the cost grows with the
-    number of ideals returned times the number of eligible gaps, not with
-    2^(gaps below fe).
+    there and hold no integer outside the second.  ``close``, ``s`` itself
+    by default or a relative ideal of ``s`` with smallest member 0, is one
+    more condition: E + ``close`` <= E, which for S every ideal meets.
+    Such an ideal is S plus a set X of gaps below fe (fe itself must be a
+    gap, else there are none).  A gap g can join X only when fe - g is not
+    in ``close``, and X must hold every gap below fe of g + ``close``.  The
+    walk takes the eligible gaps in decreasing order: a gap outside
+    ``allow`` is skipped, a gap in ``need`` replaces the selections made so
+    far with their extensions by it, and any other gap adds those
+    extensions.  A selection extends by g exactly when the gaps below fe of
+    g + ``close`` are already chosen.  ``need`` must be closed under adding
+    ``close`` and ``allow`` under adding S, so the gaps a forced gap needs
+    are forced too and every selection extends to at least one ideal: the
+    cost grows with the number of ideals returned times the number of
+    eligible gaps, not with 2^(gaps below fe).
     """
     if fe == -1:
         return [naturals_ideal(s)]
     if fe < 1 or fe in s:
         return []
+    close = s if close is None else close
     base = s._window(0, fe)
-    free = [g for g in s.gaps if g < fe and (fe - g) not in s]
+    free = [g for g in s.gaps if g < fe and (fe - g) not in close]
     eligible = sum(1 << g for g in free)
     # below fe + 1, E holds the base and may hold eligible gaps, but never fe
     if base & ~allow or need & ~(allow & (base | eligible)):
         return []
     gaps = s._gap_mask & ((1 << fe) - 1)
-    gens = sum(1 << a for a in s.minimal_generators)
+    steps = close._window(0, fe) & ~1  # the nonzero members of close below fe
     chosen = [0]  # bitmasks over the gaps selected so far
     for g in reversed(free):
         if not allow >> g & 1:
             continue
-        # g + a below fe and outside S is an eligible gap larger than g
-        required = gens << g & gaps
+        # g + a, a > 0 in close, below fe and outside S is a gap larger than g
+        required = steps << g & gaps
         grown = [c | 1 << g for c in chosen if c & required == required]
         chosen = grown if need >> g & 1 else chosen + grown
     return [_build(s, base | c, 0, fe + 1) for c in chosen]
@@ -261,7 +275,7 @@ def _specs(s: NumericalSemigroup, offsets, ideals, ideal_part):
     """Yield the valid normalized specs over ``s`` that pass a two-part check.
 
     For each f(E), ``offsets(f(E))`` gives the candidate odd offsets, kept
-    when they lie in S, and ``ideals(s, f(E))`` the ideals to check.
+    when they lie in S, and ``ideals(f(E))`` the ideals to check.
     ``ideal_part(s, e)`` runs once per ideal and is None when E fails, else
     the predicate that decides each offset; an offset it accepts must then
     pass the sum filter.
@@ -270,7 +284,7 @@ def _specs(s: NumericalSemigroup, offsets, ideals, ideal_part):
         bs = [b for b in offsets(fe) if b in s]
         if not bs:
             continue
-        for e in ideals(s, fe):
+        for e in ideals(fe):
             offset_ok = ideal_part(s, e)
             if offset_ok is None:
                 continue
@@ -292,7 +306,7 @@ def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
     odd branch 2 f(E) + offset; callers pass max_frobenius >= 2 f(S).
     """
     return _specs(s, lambda fe: range(1, max_frobenius - 2 * fe + 1, 2),
-                  ideals_with_frobenius, lambda s, e: lambda b: True)
+                  lambda fe: ideals_with_frobenius(s, fe), lambda s, e: lambda b: True)
 
 
 def _family(base: NumericalSemigroup, specs, kind: str, exhaustive: bool) -> DoubleFamily:
@@ -345,7 +359,7 @@ def enumerate_odd_doubles(s: NumericalSemigroup, max_frobenius: int) -> DoubleFa
         raise BoundTooSmall(f"bound must be at least {2 * f + 1}")
     # 2 f(S) < f(T) = 2 f(E) + b <= max_frobenius
     specs = _specs(s, lambda fe: range(max(1, 2 * f + 1 - 2 * fe), max_frobenius - 2 * fe + 1, 2),
-                   _odd_ideals, _odd_ideal_part)
+                   lambda fe: _odd_ideals(s, fe), _odd_ideal_part)
     return _family(s, specs, KIND_ODD, False)
 
 
@@ -361,7 +375,7 @@ def enumerate_even_doubles(s: NumericalSemigroup) -> DoubleFamily:
         return DoubleFamily(s, (), True)
     f = s.frobenius
     # 2 f(E) + b < 2 f(S)
-    specs = _specs(s, lambda fe: range(3, 2 * f - 2 * fe, 2), _even_ideals, _even_ideal_part)
+    specs = _specs(s, lambda fe: range(3, 2 * f - 2 * fe, 2), _even_ideals(s), _even_ideal_part)
     return _family(s, specs, KIND_EVEN, True)
 
 

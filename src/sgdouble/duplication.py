@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import AmbientMismatch, InvalidB, SumNotInS
 from .ideals import RelativeIdeal, _build
-from .semigroup import NumericalSemigroup, _from_mask, _pair_violation
+from .semigroup import NumericalSemigroup, _check_conductor, _from_mask, _pair_violation
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,7 @@ def duplicate(spec: DuplicationSpec) -> NumericalSemigroup:
     """The duplication 2*S union (2*E + offset) as a canonical semigroup."""
     s, e, b = spec.base, spec.ideal, spec.odd_offset
     c_t = duplication_frobenius(spec) + 1
+    _check_conductor(c_t)  # about 2 f(E) + b, and b is unbounded
     # the members below c_t: 2x for x in S, 2x + b for x in E
     lo = e.min_element
     mask = (_spread(s._window(0, (c_t + 1) // 2))

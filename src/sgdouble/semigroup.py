@@ -19,11 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from heapq import heappop, heappush
 from itertools import compress
 from operator import attrgetter
 from typing import Iterable
 
 from .errors import (
+    BoundTooLarge,
     EmptyGenerators,
     FrobeniusInSet,
     MissingZero,
@@ -45,6 +47,16 @@ _DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\x00\x01")
 
 #: Size of each of the library's memo caches.
 _CACHE_SIZE = 1024
+
+#: Largest conductor a semigroup may have.  Members, gaps and every
+#: invariant are computed over [0, conductor), and past about this size a
+#: gap list alone takes hundreds of megabytes.
+CONDUCTOR_LIMIT = 2_000_000
+
+
+def _check_conductor(c: int) -> None:
+    if c > CONDUCTOR_LIMIT:
+        raise BoundTooLarge(f"conductor {c} exceeds the limit {CONDUCTOR_LIMIT}")
 
 
 def _bits(mask: int, start: int = 0) -> tuple[int, ...]:
@@ -163,6 +175,7 @@ class NumericalSemigroup(_UpSet):
         elems, c = tuple(small_elements), conductor
         if c < 0:
             raise ValueError("conductor must be nonnegative")
+        _check_conductor(c)
         if c == 0:
             if elems:
                 raise ValueError("the naturals are stored with an empty element list")
@@ -200,25 +213,33 @@ class NumericalSemigroup(_UpSet):
         if reduce(math.gcd, gens) != 1:
             raise NonCoprimeGenerators(f"gcd({', '.join(map(str, gens))}) > 1")
         m = gens[0]
-        # least[r] = smallest element of the semigroup congruent to r mod m;
-        # computed by Bellman-Ford relaxation over the residue classes.
+        if m > CONDUCTOR_LIMIT:  # 1, ..., m - 1 are gaps
+            raise BoundTooLarge(f"conductor at least {m} exceeds the limit {CONDUCTOR_LIMIT}")
+        # least[r] = smallest element of the semigroup congruent to r mod m:
+        # shortest paths from 0 over the residue classes, an edge r -> r + g
+        # for each generator g
         least: list[int | None] = [None] * m
         least[0] = 0
-        changed = True
-        while changed:
-            changed = False
-            for r in range(m):
-                v = least[r]
-                if v is None:
-                    continue
-                for g in gens:
-                    w = v + g
-                    rr = w % m
-                    if least[rr] is None or w < least[rr]:
-                        least[rr] = w
-                        changed = True
+        heap = [(0, 0)]
+        while heap:
+            v, r = heappop(heap)
+            if v > least[r]:  # type: ignore[operator]
+                continue  # superseded by a shorter path
+            for g in gens:
+                w = v + g
+                rr = w % m
+                if least[rr] is None or w < least[rr]:
+                    least[rr] = w
+                    heappush(heap, (w, rr))
         conductor = max(least) - m + 1  # type: ignore[type-var]
-        return cls._of(0, sum(1 << x for x in range(conductor) if least[x % m] <= x), conductor)
+        _check_conductor(conductor)
+        # x is a member iff x >= least[x % m]: one comb of digits per residue,
+        # read as a binary numeral with bit x at position x from the right
+        digits = bytearray(b"0") * (conductor + 1)
+        for start in least:
+            comb = range(start, conductor, m)  # type: ignore[arg-type]
+            digits[start:conductor:m] = b"1" * len(comb)
+        return cls._of(0, int(digits[::-1], 2), conductor)
 
     @classmethod
     def from_small_elements(cls, elems: Iterable[int], conductor: int) -> "NumericalSemigroup":
@@ -266,12 +287,14 @@ class NumericalSemigroup(_UpSet):
     @cached_property
     def _pf_mask(self) -> int:
         # x + s in S for every nonzero s in S already follows from x + g in S
-        # for every minimal generator g.  For a gap x, x + g stays below
-        # c + max(g), so the members window must reach that far.
-        gens = self.minimal_generators
-        members = self._window(0, self._c + gens[-1])
+        # for every minimal generator g, and for a gap x it holds outright
+        # once g >= c.  For g < c, x + g stays below 2c.
+        c = self._c
+        members = self._window(0, 2 * c)
         pf = self._gap_mask
-        for g in gens:
+        for g in self.minimal_generators:
+            if g >= c:
+                break
             pf &= members >> g
         return pf
 
@@ -290,14 +313,19 @@ class NumericalSemigroup(_UpSet):
     @cached_property
     def minimal_generators(self) -> tuple[int, ...]:
         """Unique minimal generating set: nonzero elements not a sum of two."""
-        # any element > conductor + multiplicity splits off the multiplicity
-        hi = self._c + self.multiplicity + 1
-        nonzero = self._window(0, hi) & ~1
+        # besides the multiplicity m, a minimal generator x lies in the Apery
+        # set {x in S : x - m not in S}, which lies below c + m, and is no sum
+        # of two of its nonzero members: were x = a + b with a - m in S,
+        # x - m would be in S too
+        m = self.multiplicity
+        hi = self._c + m
+        members = self._window(0, hi)
+        apery = members & ~(members << m) & ~1
         sums = 0
         # a sum a + b < hi of members 0 < a <= b has a <= hi // 2
-        for a in self.members_below(hi // 2 + 1)[1:]:
-            sums |= nonzero << a
-        return _bits(nonzero & ~sums)
+        for a in _bits(apery & ((1 << (hi // 2 + 1)) - 1)):
+            sums |= apery << a
+        return _bits(apery & ~sums | 1 << m)
 
 
 #: The full set of nonnegative integers.

@@ -137,6 +137,19 @@ def test_domain_error_json_payload(capsys):
     assert data["error"]["type"] == "InvalidB"
 
 
+@pytest.mark.parametrize("argv", [
+    ("info", "--gens", "100003,100019"),      # conductor about 10^10
+    ("info", "--small", "0", "--conductor", "10000000000"),
+    # the double's conductor is about 2 f(E) + b
+    ("double", "--gens", "3,5", "--ideal", "0,3", "--ideal-conductor", "5",
+     "--b", "10000000001"),
+])
+def test_huge_conductor_is_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: conductor") and err.count("\n") == 1
+
+
 def test_usage_error_missing_semigroup(capsys):
     code, _, err = run(capsys, "info")
     assert code == 2

@@ -19,6 +19,7 @@ from sgdouble import (
 )
 from sgdouble import doubles, oracle
 from sgdouble.doubles import KIND_EVEN, ideals_with_frobenius
+from sgdouble.duplication import sum_violation
 from sgdouble.errors import (
     BoundTooSmall,
     HypothesisViolated,
@@ -232,27 +233,50 @@ def test_ideals_with_frobenius_matches_oracle():
 def test_enumerators_walk_only_ideals_inside_their_check_bounds():
     # every S with f(S) <= 11, at every fe: the odd enumerator walks exactly
     # the ideals inside K - (M - M) <= tilde(E) <= K, the even one exactly
-    # those containing K, and neither bound drops an ideal that its check's
-    # E-only part accepts
+    # those with K <= E - E, the E-only part of its check; the odd bound
+    # drops no ideal that the odd check's E-only part accepts.  On the walked
+    # ideals, each offset membership test agrees with the inclusion it
+    # replaces, at every odd b the enumerators could try
     bases = [s for f in (-1, *range(1, 12)) for s in oracle.enum_semigroups_with_frobenius(f)]
     assert len(bases) == 131
-    walked = total = 0
+    walked = total = tried = 0
     for s in bases:
+        f = s.frobenius
         k = canonical_ideal(s)
         m = maximal_ideal(s)
         kmm = k - (m - m)
-        for fe in (-1, *range(1, s.frobenius + 1)):
+        unit = unit_ideal(s)
+        for fe in (-1, *range(1, f + 1)):
             pool = ideals_with_frobenius(s, fe)
             total += 2 * len(pool)
-            for walk, bound, part in (
-                    (doubles._odd_ideals, lambda e: kmm <= e.tilde() <= k, doubles._odd_ideal_part),
-                    (doubles._even_ideals, lambda e: k <= e, doubles._even_ideal_part)):
-                inside = [e for e in pool if bound(e)]
-                got = walk(s, fe)
-                walked += len(got)
-                assert sorted(got, key=lambda e: e.elements_below) == inside, (s, fe)
-                assert all(bound(e) for e in pool if part(s, e) is not None), (s, fe)
+            odd = doubles._odd_ideals(s, fe)
+            assert sorted(odd, key=lambda e: e.elements_below) == [
+                e for e in pool if kmm <= e.tilde() <= k], (s, fe)
+            assert all(kmm <= e.tilde() <= k for e in pool
+                       if doubles._odd_ideal_part(s, e) is not None), (s, fe)
+            for e in odd:
+                offset_ok = doubles._odd_ideal_part(s, e)
+                if offset_ok is None:
+                    continue
+                shifted_sum = (e + k).translate(e.frobenius - f)
+                for b in range(max(1, 2 * f + 1 - 2 * fe), 2 * f + 10 - 2 * fe, 2):
+                    assert offset_ok(b) == (shifted_sum.translate(b) <= m), (s, e, b)
+                    tried += 1
+            even = doubles._even_ideals(s)(fe)
+            assert sorted(even, key=lambda e: e.elements_below) == [
+                e for e in pool if k <= e - e], (s, fe)
+            for e in even:
+                offset_ok = doubles._even_ideal_part(s, e)
+                for b in range(1, 2 * f - 2 * fe, 2):
+                    offset_old = m - e <= (e - m).translate(b)
+                    sum_old = sum_violation(s, e, b) is None
+                    assert offset_ok(b) == (offset_old and sum_old), (s, e, b)
+                    assert (-b in (e - m) - (m - e)) == offset_old
+                    assert (b in unit - (e + e)) == sum_old
+                    tried += 1
+            walked += len(odd) + len(even)
     assert 0 < walked < total / 2
+    assert tried == 13818
 
 
 @pytest.mark.slow
@@ -276,6 +300,21 @@ def test_kernel_matches_oracle_at_frobenius_10_to_13():
         assert odd == oracle.brute_doubles(s, "odd", 2 * f + 5), s
         doubles += len(even) + len(odd)
     assert doubles > 100
+
+
+@pytest.mark.slow
+def test_even_family_matches_oracle_at_frobenius_12_to_15():
+    # the K-closed walk and the one-bit offset and sum tests against the
+    # oracle's brute search, on all 118 almost symmetric S with 12 <= f(S) <= 15
+    bases = [s for f in range(12, 16) for s in oracle.enum_semigroups_with_frobenius(f)
+             if classify(s).almost_symmetric]
+    assert len(bases) == 118
+    doubles = 0
+    for s in bases:
+        even = [c.double for c in enumerate_even_doubles(s).members]
+        assert even == oracle.brute_doubles(s, "even", 2 * s.frobenius), s
+        doubles += len(even)
+    assert doubles == 2031
 
 
 def test_certificates_are_consistent():

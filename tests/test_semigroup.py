@@ -7,8 +7,10 @@ from sgdouble import (
     enumerate_odd_doubles,
     enumerate_symmetric_doubles,
     oracle,
+    semigroup,
 )
 from sgdouble.errors import (
+    BoundTooLarge,
     EmptyGenerators,
     FrobeniusInSet,
     MissingZero,
@@ -48,6 +50,28 @@ class TestFromGenerators:
             NumericalSemigroup.from_generators([4, 6])
         with pytest.raises(ValueError):
             NumericalSemigroup.from_generators([0, 3])
+
+    def test_large_conductor(self):
+        # <1001, 1003>: x is a member iff x = 1001 i + 1003 j with
+        # 0 <= j < 1001 and i >= 0, and c = (1001 - 1)(1003 - 1) (Sylvester)
+        s = NumericalSemigroup.from_generators([1001, 1003])
+        c = 1000 * 1002
+        assert s.conductor == c and len(s.gaps) == c // 2
+        column = sum(1 << 1001 * i for i in range(c // 1001 + 1))
+        members = 0
+        for j in range(1001):
+            members |= column << 1003 * j
+        assert s._mask == members & ((1 << c) - 1)
+
+    def test_conductor_limit(self):
+        limit = semigroup.CONDUCTOR_LIMIT
+        assert NumericalSemigroup((0,), limit).conductor == limit
+        with pytest.raises(BoundTooLarge):
+            NumericalSemigroup((0,), limit + 1)
+        with pytest.raises(BoundTooLarge):
+            NumericalSemigroup.from_generators([limit + 1, limit + 2])  # multiplicity too large
+        with pytest.raises(BoundTooLarge):
+            NumericalSemigroup.from_generators([1415, 1417])  # conductor 2,002,224
 
 
 class TestFromSmallElements:
