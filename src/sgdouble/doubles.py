@@ -105,18 +105,16 @@ def _odd_ideal_conditions(s: NumericalSemigroup, e: RelativeIdeal):
     yield is_numerical_semigroup_set(k - tilde)
 
 
-def _odd_ideals(s: NumericalSemigroup, fe: int) -> list[RelativeIdeal]:
-    """The ideals at f(E) = fe inside the sandwich K - (M - M) <= tilde(E) <= K.
+def _odd_ideals(s: NumericalSemigroup):
+    """For each f(E) = fe, the ideals at fe inside the sandwich K - (M - M) <= tilde(E) <= K.
 
-    With shift = f(S) - fe, tilde(E) = E + shift, so E lies between
-    K - (M - M) - shift, which must not reach below m(E) = 0, and K - shift.
+    tilde(E) = E + f(S) - fe, so E contains K - (M - M) + fe - f(S).  The
+    other half holds for every relative ideal: x in E with f(E) - x in S
+    would put f(E) in E + S <= E.
     """
-    k, _, kmm = _base_context(s)
-    shift = s.frobenius - fe
-    if kmm._lo < shift:
-        return []
-    window = (shift, shift + fe + 1)
-    return _ideals_between(s, fe, kmm._window(*window), k._window(*window))
+    _, _, kmm = _base_context(s)
+    f = s.frobenius
+    return lambda fe: _ideals_between(s, fe, kmm.translate(fe - f))
 
 
 def _odd_ideal_part(s: NumericalSemigroup, e: RelativeIdeal):
@@ -167,7 +165,7 @@ def _even_ideals(s: NumericalSemigroup):
     closure = k
     while (grown := closure + k) != closure:
         closure = grown
-    return lambda fe: _ideals_between(s, fe, closure._window(0, fe + 1), close=k)
+    return lambda fe: _ideals_between(s, fe, closure, close=k)
 
 
 def _even_ideal_part(s: NumericalSemigroup, e: RelativeIdeal):
@@ -206,50 +204,48 @@ def even_double_check(spec: DuplicationSpec) -> bool:
 # -- search space -------------------------------------------------------------
 
 
-def _ideals_between(s: NumericalSemigroup, fe: int, need: int = 0, allow: int = -1,
+def _ideals_between(s: NumericalSemigroup, fe: int, need: RelativeIdeal | None = None,
                     close: RelativeIdeal | NumericalSemigroup | None = None,
                     ) -> list[RelativeIdeal]:
-    """The ideals E of ``s`` with m(E) = 0 and f(E) = ``fe`` between two bounds, unsorted.
+    """The ideals E of ``s`` with m(E) = 0 and f(E) = ``fe`` that contain ``need``, unsorted.
 
-    ``need`` and ``allow`` are windows on [0, fe] (bit x for the integer x)
-    of two relative ideals of ``s``; E must contain the members of the first
-    there and hold no integer outside the second.  ``close``, ``s`` itself
-    by default or a relative ideal of ``s`` with smallest member 0, is one
-    more condition: E + ``close`` <= E, which for S every ideal meets.
-    Such an ideal is S plus a set X of gaps below fe (fe itself must be a
-    gap, else there are none).  A gap g can join X only when fe - g is not
-    in ``close``, and X must hold every gap below fe of g + ``close``.  The
-    walk takes the eligible gaps in decreasing order: a gap outside
-    ``allow`` is skipped, a gap in ``need`` replaces the selections made so
-    far with their extensions by it, and any other gap adds those
-    extensions.  A selection extends by g exactly when the gaps below fe of
-    g + ``close`` are already chosen.  ``need`` must be closed under adding
-    ``close`` and ``allow`` under adding S, so the gaps a forced gap needs
+    ``need``, a relative ideal of ``s`` or None for no bound, leaves no
+    ideal when it has a member below 0.  ``close``, ``s`` itself by default
+    or a relative ideal of ``s`` with smallest member 0, is one more
+    condition: E + ``close`` <= E, which for S every ideal meets.  Such an
+    ideal is S plus a set X of gaps below fe (fe itself must be a gap, else
+    there are none).  A gap g can join X only when fe - g is not in
+    ``close``, and X must hold every gap below fe of g + ``close``.  The
+    walk takes the eligible gaps in decreasing order: a gap in ``need``
+    replaces the selections made so far with their extensions by it, and
+    any other gap adds those extensions.  A selection extends by g exactly
+    when the gaps below fe of g + ``close`` are already chosen.  ``need``
+    must be closed under adding ``close``, so the gaps a forced gap needs
     are forced too and every selection extends to at least one ideal: the
     cost grows with the number of ideals returned times the number of
     eligible gaps, not with 2^(gaps below fe).
     """
+    if need is not None and need.min_element < 0:
+        return []
     if fe == -1:
         return [naturals_ideal(s)]
     if fe < 1 or fe in s:
         return []
     close = s if close is None else close
+    forced = 0 if need is None else need._window(0, fe + 1)
     base = s._window(0, fe)
     free = [g for g in s.gaps if g < fe and (fe - g) not in close]
-    eligible = sum(1 << g for g in free)
-    # below fe + 1, E holds the base and may hold eligible gaps, but never fe
-    if base & ~allow or need & ~(allow & (base | eligible)):
+    # below fe + 1, E holds the base and may hold free gaps, but never fe
+    if forced & ~(base | sum(1 << g for g in free)):
         return []
     gaps = s._gap_mask & ((1 << fe) - 1)
     steps = close._window(0, fe) & ~1  # the nonzero members of close below fe
     chosen = [0]  # bitmasks over the gaps selected so far
     for g in reversed(free):
-        if not allow >> g & 1:
-            continue
         # g + a, a > 0 in close, below fe and outside S is a gap larger than g
         required = steps << g & gaps
         grown = [c | 1 << g for c in chosen if c & required == required]
-        chosen = grown if need >> g & 1 else chosen + grown
+        chosen = grown if forced >> g & 1 else chosen + grown
     return [_build(s, base | c, 0, fe + 1) for c in chosen]
 
 
@@ -271,17 +267,17 @@ def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal
     return tuple(out)
 
 
-def _specs(s: NumericalSemigroup, offsets, ideals, ideal_part):
+def _specs(s: NumericalSemigroup, lo: int, hi: int, ideals, ideal_part):
     """Yield the valid normalized specs over ``s`` that pass a two-part check.
 
-    For each f(E), ``offsets(f(E))`` gives the candidate odd offsets, kept
-    when they lie in S, and ``ideals(f(E))`` the ideals to check.
+    Offsets b are the odd members of S with lo <= 2 f(E) + b <= hi, ``lo``
+    odd, and ``ideals(f(E))`` gives the ideals to check for each f(E).
     ``ideal_part(s, e)`` runs once per ideal and is None when E fails, else
     the predicate that decides each offset; an offset it accepts must then
     pass the sum filter.
     """
     for fe in (-1, *s.gaps):
-        bs = [b for b in offsets(fe) if b in s]
+        bs = [b for b in range(lo - 2 * fe, hi - 2 * fe + 1, 2) if b in s]
         if not bs:
             continue
         for e in ideals(fe):
@@ -305,8 +301,9 @@ def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
     ``s`` is realized by at least one such spec.  The bound constrains the
     odd branch 2 f(E) + offset; callers pass max_frobenius >= 2 f(S).
     """
-    return _specs(s, lambda fe: range(1, max_frobenius - 2 * fe + 1, 2),
-                  lambda fe: ideals_with_frobenius(s, fe), lambda s, e: lambda b: True)
+    # every offset b >= 1 meets 2 f(E) + b >= -1, since f(E) >= -1
+    return _specs(s, -1, max_frobenius, lambda fe: ideals_with_frobenius(s, fe),
+                  lambda s, e: lambda b: True)
 
 
 def _family(base: NumericalSemigroup, specs, kind: str, exhaustive: bool) -> DoubleFamily:
@@ -358,8 +355,7 @@ def enumerate_odd_doubles(s: NumericalSemigroup, max_frobenius: int) -> DoubleFa
     if max_frobenius < 2 * f + 1:
         raise BoundTooSmall(f"bound must be at least {2 * f + 1}")
     # 2 f(S) < f(T) = 2 f(E) + b <= max_frobenius
-    specs = _specs(s, lambda fe: range(max(1, 2 * f + 1 - 2 * fe), max_frobenius - 2 * fe + 1, 2),
-                   lambda fe: _odd_ideals(s, fe), _odd_ideal_part)
+    specs = _specs(s, 2 * f + 1, max_frobenius, _odd_ideals(s), _odd_ideal_part)
     return _family(s, specs, KIND_ODD, False)
 
 
@@ -375,7 +371,7 @@ def enumerate_even_doubles(s: NumericalSemigroup) -> DoubleFamily:
         return DoubleFamily(s, (), True)
     f = s.frobenius
     # 2 f(E) + b < 2 f(S)
-    specs = _specs(s, lambda fe: range(3, 2 * f - 2 * fe, 2), _even_ideals(s), _even_ideal_part)
+    specs = _specs(s, -1, 2 * f - 1, _even_ideals(s), _even_ideal_part)
     return _family(s, specs, KIND_EVEN, True)
 
 

@@ -24,9 +24,10 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, Optional
 
-from .errors import AmbientMismatch, NotAnIdeal
+from .errors import AmbientMismatch, BoundTooLarge, NotAnIdeal
 from .semigroup import (
     _CACHE_SIZE,
+    CONDUCTOR_LIMIT,
     NumericalSemigroup,
     _bits,
     _from_mask,
@@ -41,10 +42,11 @@ class RelativeIdeal(_UpSet):
     """Canonical, immutable relative ideal over ``ambient``.
 
     Direct construction validates structure only (sorted, conductor
-    minimal); use :func:`relative_ideal` to validate the ideal property
-    E + S <= E for untrusted input.  Ideals the kernel computes itself are
-    canonical by construction and skip both checks.  Besides the set core,
-    an ideal stores only ``ambient``, set right after the core.
+    minimal, span c(E) - m(E) within ``semigroup.CONDUCTOR_LIMIT``); use
+    :func:`relative_ideal` to validate the ideal property E + S <= E for
+    untrusted input.  Ideals the kernel computes itself are canonical by
+    construction and skip both checks.  Besides the set core, an ideal
+    stores only ``ambient``, set right after the core.
     """
 
     ambient: NumericalSemigroup
@@ -60,6 +62,7 @@ class RelativeIdeal(_UpSet):
             if elems[-1] >= c:
                 raise ValueError("listed elements must lie strictly below the conductor")
         lo = elems[0] if elems else c
+        _check_span(lo, c)
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_mask", sum(1 << (x - lo) for x in elems))
         object.__setattr__(self, "_c", c)
@@ -150,6 +153,14 @@ class RelativeIdeal(_UpSet):
         return _build(self.ambient, _reverse(holes, span), f - self._c + 1, f - self._lo + 1)
 
 
+def _check_span(lo: int, c: int) -> None:
+    # E + F, E - F, a translate and a dual span at most an operand's
+    # [m, c), so capping the ideals built from input caps every ideal
+    if c - lo > CONDUCTOR_LIMIT:
+        raise BoundTooLarge(
+            f"ideal span c(E) - m(E) = {c - lo} exceeds the limit {CONDUCTOR_LIMIT}")
+
+
 def _build(ambient: NumericalSemigroup, mask: int, lo: int, bound: int) -> RelativeIdeal:
     """The ideal {lo + i : bit i of ``mask``} | [bound, oo), canonical.
 
@@ -168,10 +179,12 @@ def relative_ideal(ambient: NumericalSemigroup, elems: Iterable[int],
     canonicalized (listed members at or past the conductor are absorbed, the
     conductor is shrunk to its minimal value) and the ideal property
     E + S <= E is verified, raising :class:`NotAnIdeal` with a witness pair
-    otherwise.
+    otherwise.  A span c(E) - m(E) past ``semigroup.CONDUCTOR_LIMIT`` raises
+    :class:`BoundTooLarge`.
     """
     below = {e for e in elems if e < conductor}
     lo = min(below, default=conductor)
+    _check_span(lo, conductor)
     ideal = _build(ambient, sum(1 << (e - lo) for e in below), lo, conductor)
     # Checking the minimal generators of the ambient semigroup against the
     # listed elements is complete: sums involving the tail of either set land

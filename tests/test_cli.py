@@ -150,6 +150,17 @@ def test_huge_conductor_is_rejected(capsys, argv):
     assert err.startswith("error: conductor") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    # c(E) - m(E) is about 10^10 either way
+    ("double", "--gens", "3,5", "--ideal", "0", "--ideal-conductor", "10000000000", "--b", "3"),
+    ("double", "--gens", "3,5", "--ideal=-10000000000", "--ideal-conductor", "5", "--b", "3"),
+])
+def test_huge_relative_ideal_is_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ideal span") and err.count("\n") == 1
+
+
 def test_usage_error_missing_semigroup(capsys):
     code, _, err = run(capsys, "info")
     assert code == 2

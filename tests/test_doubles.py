@@ -234,9 +234,10 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
     # every S with f(S) <= 11, at every fe: the odd enumerator walks exactly
     # the ideals inside K - (M - M) <= tilde(E) <= K, the even one exactly
     # those with K <= E - E, the E-only part of its check; the odd bound
-    # drops no ideal that the odd check's E-only part accepts.  On the walked
-    # ideals, each offset membership test agrees with the inclusion it
-    # replaces, at every odd b the enumerators could try
+    # drops no ideal that the odd check's E-only part accepts, and its upper
+    # half tilde(E) <= K holds for every ideal, so the walk bounds only the
+    # lower one.  On the walked ideals, each offset membership test agrees
+    # with the inclusion it replaces, at every odd b the enumerators could try
     bases = [s for f in (-1, *range(1, 12)) for s in oracle.enum_semigroups_with_frobenius(f)]
     assert len(bases) == 131
     walked = total = tried = 0
@@ -249,7 +250,8 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
         for fe in (-1, *range(1, f + 1)):
             pool = ideals_with_frobenius(s, fe)
             total += 2 * len(pool)
-            odd = doubles._odd_ideals(s, fe)
+            assert all(e.tilde() <= k for e in pool), (s, fe)
+            odd = doubles._odd_ideals(s)(fe)
             assert sorted(odd, key=lambda e: e.elements_below) == [
                 e for e in pool if kmm <= e.tilde() <= k], (s, fe)
             assert all(kmm <= e.tilde() <= k for e in pool

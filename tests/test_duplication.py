@@ -3,6 +3,7 @@ import pytest
 from sgdouble import (
     NATURALS,
     DuplicationSpec,
+    NumericalSemigroup,
     canonical_ideal,
     decompose,
     duplicate,
@@ -141,3 +142,15 @@ class TestNormalizeParams:
         norm = normalize_params(spec)
         assert norm == DuplicationSpec(S1, E2, 5)
         assert duplicate(norm) == duplicate(spec)
+
+
+def test_reprs_list_the_shown_fields():
+    # failure messages print these
+    s = NumericalSemigroup.from_generators([3, 5])
+    e = relative_ideal(s, [0, 3], 5)
+    s_repr = "NumericalSemigroup(small_elements=(0, 3, 5, 6), conductor=8)"
+    e_repr = f"RelativeIdeal(ambient={s_repr}, elements_below=(0, 3), ideal_conductor=5)"
+    assert repr(s) == s_repr
+    assert repr(e) == e_repr
+    spec_repr = f"DuplicationSpec(base={s_repr}, ideal={e_repr}, odd_offset=3)"
+    assert repr(DuplicationSpec(s, e, 3)) == spec_repr

@@ -8,8 +8,9 @@ from sgdouble import (
     naturals_ideal,
     relative_ideal,
 )
-from sgdouble.errors import AmbientMismatch, NotAnIdeal
+from sgdouble.errors import AmbientMismatch, BoundTooLarge, NotAnIdeal
 from sgdouble.ideals import RelativeIdeal, unit_ideal
+from sgdouble.semigroup import CONDUCTOR_LIMIT
 
 from cases import E1, E2, E3, E4, F2, K1, S1, S2, ST1
 
@@ -48,6 +49,14 @@ class TestConstruction:
             RelativeIdeal(S1, (0, 4), 5)
         with pytest.raises(ValueError, match="strictly below the conductor"):
             RelativeIdeal(S1, (0, 6), 5)
+
+    def test_span_past_the_limit_rejected(self):
+        # raised before a mask over [m(E), c(E)) is built
+        assert RelativeIdeal(S1, (0,), CONDUCTOR_LIMIT).ideal_conductor == CONDUCTOR_LIMIT
+        with pytest.raises(BoundTooLarge, match="ideal span"):
+            RelativeIdeal(S1, (0,), CONDUCTOR_LIMIT + 1)
+        with pytest.raises(BoundTooLarge, match="ideal span"):
+            RelativeIdeal(S1, (-10**10, 0), 5)
 
 
 def test_maximal_ideal():
