@@ -16,7 +16,7 @@ import json
 import random
 import sys
 from itertools import chain
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import doubles as doubles_mod
 from . import jsonio, oracle
@@ -71,12 +71,15 @@ def _ideal(args, ambient):
     return relative_ideal(ambient, args.ideal, args.ideal_conductor)
 
 
-def _emit(args, data: dict, human: Iterable[str]) -> None:
-    """Print ``data`` as JSON under --json, else the lines of ``human``, read only then."""
+def _emit(args, data: Callable[[], dict], human: Callable[[], Iterable[str]]) -> None:
+    """Print ``data()`` as one line of JSON under --json, else the lines of ``human()``.
+
+    Only the output asked for is built.
+    """
     if args.json:
-        print(json.dumps(data, indent=2, sort_keys=True))
+        print(json.dumps(data(), sort_keys=True))
     else:
-        print("\n".join(human))
+        print("\n".join(human()))
 
 
 def _fmt_ints(xs) -> str:
@@ -88,7 +91,7 @@ def _fmt_ints(xs) -> str:
 
 def _cmd_info(args) -> int:
     s = _semigroup(args)
-    data = {
+    _emit(args, lambda: {
         "semigroup": jsonio.semigroup_to_dict(s),
         "minimal_generators": list(s.minimal_generators),
         "frobenius": s.frobenius,
@@ -96,8 +99,7 @@ def _cmd_info(args) -> int:
         "gaps": list(s.gaps),
         "pseudo_frobenius": list(s.pseudo_frobenius),
         "type": s.type,
-    }
-    human = [
+    }, lambda: [
         f"semigroup           {s}",
         f"minimal generators  {_fmt_ints(s.minimal_generators)}",
         f"frobenius           {s.frobenius}",
@@ -105,16 +107,17 @@ def _cmd_info(args) -> int:
         f"gaps                {_fmt_ints(s.gaps)}",
         f"pseudo-frobenius    {_fmt_ints(s.pseudo_frobenius)}",
         f"type                {s.type}",
-    ]
-    _emit(args, data, human)
+    ])
     return 0
 
 
 def _cmd_classify(args) -> int:
     s = _semigroup(args)
     report = classify(s, args.method)
-    data = {"semigroup": jsonio.semigroup_to_dict(s), "report": jsonio.report_to_dict(report)}
-    human = [
+    _emit(args, lambda: {
+        "semigroup": jsonio.semigroup_to_dict(s),
+        "report": jsonio.report_to_dict(report),
+    }, lambda: [
         f"semigroup           {s}",
         f"symmetry class      {report.symmetry_class}",
         f"almost symmetric    {'yes' if report.almost_symmetric else 'no'}",
@@ -122,8 +125,7 @@ def _cmd_classify(args) -> int:
         f"frobenius           {report.frobenius}",
         f"second-type gaps    {_fmt_ints(report.second_type_gaps)}",
         f"pseudo-frobenius    {_fmt_ints(report.pseudo_frobenius)}",
-    ]
-    _emit(args, data, human)
+    ])
     return 0
 
 
@@ -132,42 +134,39 @@ def _cmd_double(args) -> int:
     spec = DuplicationSpec(s, _ideal(args, s), args.b)
     t = duplicate(spec)
     report = classify(t)
-    data = {
+    _emit(args, lambda: {
         "spec": jsonio.spec_to_dict(spec),
         "double": jsonio.semigroup_to_dict(t),
         "report": jsonio.report_to_dict(report),
-    }
-    human = [
+    }, lambda: [
         f"base                {s}",
         f"ideal               {spec.ideal}",
         f"offset              {spec.odd_offset}",
         f"double              {t}",
         f"frobenius           {t.frobenius}",
         f"symmetry class      {report.symmetry_class} (type {report.type})",
-    ]
-    _emit(args, data, human)
+    ])
     return 0
 
 
 def _cmd_half(args) -> int:
     t = _semigroup(args)
     s = half(t)
-    _emit(args, {"semigroup": jsonio.semigroup_to_dict(s)}, [f"half                {s}"])
+    _emit(args, lambda: {"semigroup": jsonio.semigroup_to_dict(s)},
+          lambda: [f"half                {s}"])
     return 0
 
 
 def _cmd_decompose(args) -> int:
     t = _semigroup(args)
     spec = decompose(t, args.b)
-    data = {"spec": jsonio.spec_to_dict(spec)}
-    human = [
+    _emit(args, lambda: {"spec": jsonio.spec_to_dict(spec)}, lambda: [
         f"double              {t}",
         f"half                {spec.base}",
         f"ideal               {spec.ideal}",
         f"offset              {spec.odd_offset}",
         f"ideal minimum       {spec.ideal.min_element}",
-    ]
-    _emit(args, data, human)
+    ])
     return 0
 
 
@@ -185,10 +184,10 @@ def _cmd_enumerate(args) -> int:
     header = [f"base                {s}",
               f"members             {len(fam.members)} (exhaustive: {'yes' if fam.exhaustive else 'no'})"]
     rows = (f"  {cert.double}  f={cert.double.frobenius}"
-            f"  {cert.report.symmetry_class} (type {cert.report.type})"
+            f"  {cert.symmetry_class} (type {cert.type})"
             f"  via b={cert.spec.odd_offset}, E={cert.spec.ideal}"
             for cert in fam.members)
-    _emit(args, jsonio.family_to_dict(fam), chain(header, rows))
+    _emit(args, lambda: jsonio.family_to_dict(fam), lambda: chain(header, rows))
     return 0
 
 
@@ -197,19 +196,17 @@ def _cmd_witness(args) -> int:
     spec = doubles_mod.witness_even_double(s)
     t = duplicate(spec)
     report = classify(t)
-    data = {
+    _emit(args, lambda: {
         "spec": jsonio.spec_to_dict(spec),
         "double": jsonio.semigroup_to_dict(t),
         "report": jsonio.report_to_dict(report),
-    }
-    human = [
+    }, lambda: [
         f"base                {s}",
         f"offset              {spec.odd_offset}",
         f"ideal               {spec.ideal}",
         f"double              {t}",
         f"symmetry class      {report.symmetry_class} (type {report.type})",
-    ]
-    _emit(args, data, human)
+    ])
     return 0
 
 
@@ -348,7 +345,7 @@ def _cmd_verify(args) -> int:
             tail = f" ({detail})" if detail else ""
             print(f"{status} {name}: {cases} cases{tail}")
     if args.json:
-        print(json.dumps({"ok": ok_all, "checks": results}, indent=2, sort_keys=True))
+        print(json.dumps({"ok": ok_all, "checks": results}, sort_keys=True))
     elif ok_all:
         print("all checks passed")
     return 0 if ok_all else 1

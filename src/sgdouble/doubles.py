@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .duplication import DuplicationSpec, duplicate, duplication_frobenius, half
-from .errors import BoundTooSmall, HypothesisViolated, IsNaturals, NotAlmostSymmetric, SumNotInS
+from .errors import (
+    BoundTooLarge,
+    BoundTooSmall,
+    HypothesisViolated,
+    IsNaturals,
+    NotAlmostSymmetric,
+    SumNotInS,
+)
 from .ideals import (
     RelativeIdeal,
     _build,
@@ -24,7 +31,16 @@ from .ideals import (
     naturals_ideal,
     unit_ideal,
 )
-from .semigroup import _CACHE_SIZE, ClassificationReport, NumericalSemigroup, canonical_key, classify
+from .semigroup import (
+    _CACHE_SIZE,
+    CONDUCTOR_LIMIT,
+    ClassificationReport,
+    NumericalSemigroup,
+    _almost_symmetric_by_definition,
+    _symmetry_class,
+    _UpSet,
+    classify,
+)
 
 KIND_SYMMETRIC = "symmetric"
 KIND_ODD = "odd-almost-symmetric"
@@ -33,12 +49,21 @@ KIND_EVEN = "even-almost-symmetric"
 
 @dataclass(frozen=True)
 class DoubleCertificate:
-    """One double together with the spec producing it and its classification."""
+    """One double together with the spec producing it, its type and its symmetry class.
+
+    The full classification report is computed on demand, as ``report``.
+    """
 
     double: NumericalSemigroup
     spec: DuplicationSpec
-    report: ClassificationReport
     kind: str
+    type: int
+    symmetry_class: str
+
+    @property
+    def report(self) -> ClassificationReport:
+        """``classify(self.double)``."""
+        return classify(self.double)
 
 
 @dataclass(frozen=True)
@@ -249,6 +274,20 @@ def _ideals_between(s: NumericalSemigroup, fe: int, need: RelativeIdeal | None =
     return [_build(s, base | c, 0, fe + 1) for c in chosen]
 
 
+# member x of a set with smallest member 0 reads "1" at position x, and a
+# non-member below its largest member "2"
+_AS_LIST = str.maketrans("0", "2")
+
+
+def _mask_order(u: _UpSet) -> tuple[int, str]:
+    """Sort key of sets with smallest member 0: conductor, then element list.
+
+    Read from the mask without listing the members: a string sorts before
+    its extensions as an element list does.
+    """
+    return u._c, bin(u._mask)[:1:-1].translate(_AS_LIST)
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal, ...]:
     """All relative ideals of ``s`` with smallest element 0 and Frobenius ``fe``.
@@ -258,13 +297,7 @@ def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal
     only the ideals inside their checks' bounds.  fe values that admit no
     ideal yield the empty tuple.
     """
-    out = _ideals_between(s, fe)
-    # m(E) = 0 throughout: member x reads "1" and a non-member below the
-    # largest member "2" at position x, and a string sorts before its
-    # extensions as an element list does
-    as_list = str.maketrans("0", "2")
-    out.sort(key=lambda e: bin(e._mask)[:1:-1].translate(as_list))
-    return tuple(out)
+    return tuple(sorted(_ideals_between(s, fe), key=_mask_order))
 
 
 def _specs(s: NumericalSemigroup, lo: int, hi: int, ideals, ideal_part):
@@ -318,12 +351,28 @@ def _family(base: NumericalSemigroup, specs, kind: str, exhaustive: bool) -> Dou
         key = (spec.odd_offset, spec.ideal.elements_below)
         if t not in found or key < found[t][0]:
             found[t] = (key, spec)
-    members = (DoubleCertificate(t, found[t][1], classify(t), kind)
-               for t in sorted(found, key=canonical_key))
+    # the type and class are read from the masks: no gap tuple per member
+    members = (DoubleCertificate(t, found[t][1], kind, t.type,
+                                 _symmetry_class(t, _almost_symmetric_by_definition(t)))
+               for t in sorted(found, key=_mask_order))
     return DoubleFamily(base, tuple(members), exhaustive)
 
 
 # -- enumerators --------------------------------------------------------------
+
+
+def _check_bound(s: NumericalSemigroup, max_frobenius: int) -> None:
+    """Reject a bound on f(T) below 2 f(S) + 1 or past ``CONDUCTOR_LIMIT`` - 1.
+
+    A double's conductor is f(T) + 1, capped like every semigroup's; the
+    check runs before any work.
+    """
+    if max_frobenius < 2 * s.frobenius + 1:
+        raise BoundTooSmall(f"bound must be at least {2 * s.frobenius + 1}")
+    if max_frobenius > CONDUCTOR_LIMIT - 1:
+        raise BoundTooLarge(
+            f"bound {max_frobenius} exceeds {CONDUCTOR_LIMIT - 1}: "
+            f"a double's conductor f(T) + 1 may not exceed the limit {CONDUCTOR_LIMIT}")
 
 
 def enumerate_symmetric_doubles(s: NumericalSemigroup, max_frobenius: int) -> DoubleFamily:
@@ -333,9 +382,8 @@ def enumerate_symmetric_doubles(s: NumericalSemigroup, max_frobenius: int) -> Do
     for each admissible odd Frobenius target there is exactly one; the
     certificate fixes the smallest odd element of ``s`` as offset.
     """
+    _check_bound(s, max_frobenius)
     f = s.frobenius
-    if max_frobenius < 2 * f + 1:
-        raise BoundTooSmall(f"bound must be at least {2 * f + 1}")
     k = canonical_ideal(s)
     kk = k + k
     unit = unit_ideal(s)
@@ -351,9 +399,8 @@ def enumerate_symmetric_doubles(s: NumericalSemigroup, max_frobenius: int) -> Do
 
 def enumerate_odd_doubles(s: NumericalSemigroup, max_frobenius: int) -> DoubleFamily:
     """All almost symmetric odd-type doubles of ``s`` up to the bound."""
+    _check_bound(s, max_frobenius)
     f = s.frobenius
-    if max_frobenius < 2 * f + 1:
-        raise BoundTooSmall(f"bound must be at least {2 * f + 1}")
     # 2 f(S) < f(T) = 2 f(E) + b <= max_frobenius
     specs = _specs(s, 2 * f + 1, max_frobenius, _odd_ideals(s), _odd_ideal_part)
     return _family(s, specs, KIND_ODD, False)

@@ -31,6 +31,7 @@ from .semigroup import (
     NumericalSemigroup,
     _bits,
     _from_mask,
+    _mask_of,
     _pair_violation,
     _reverse,
     _UpSet,
@@ -64,7 +65,7 @@ class RelativeIdeal(_UpSet):
         lo = elems[0] if elems else c
         _check_span(lo, c)
         object.__setattr__(self, "_lo", lo)
-        object.__setattr__(self, "_mask", sum(1 << (x - lo) for x in elems))
+        object.__setattr__(self, "_mask", _mask_of(elems, lo))
         object.__setattr__(self, "_c", c)
         object.__setattr__(self, "ambient", ambient)
 
@@ -185,7 +186,7 @@ def relative_ideal(ambient: NumericalSemigroup, elems: Iterable[int],
     below = {e for e in elems if e < conductor}
     lo = min(below, default=conductor)
     _check_span(lo, conductor)
-    ideal = _build(ambient, sum(1 << (e - lo) for e in below), lo, conductor)
+    ideal = _build(ambient, _mask_of(below, lo), lo, conductor)
     # Checking the minimal generators of the ambient semigroup against the
     # listed elements is complete: sums involving the tail of either set land
     # past the ideal's conductor, and closure under the generators implies

@@ -126,7 +126,7 @@ def family_to_dict(fam: DoubleFamily) -> dict:
                 "t": semigroup_to_dict(cert.double),
                 "spec": spec_to_dict(cert.spec),
                 "class": cert.kind,
-                "type": cert.report.type,
+                "type": cert.type,
             }
             for cert in fam.members
         ],
@@ -150,5 +150,5 @@ def family_from_dict(d: dict) -> DoubleFamily:
                 KIND_EVEN: report.almost_symmetric and report.type % 2 == 0}
         if not fits.get(kind):
             raise SemigroupError(f"malformed JSON: class {kind!r} does not fit member {t}")
-        members.append(DoubleCertificate(t, spec, report, kind))
+        members.append(DoubleCertificate(t, spec, kind, report.type, report.symmetry_class))
     return DoubleFamily(base, tuple(members), _field(d, "exhaustive", bool))

@@ -65,6 +65,20 @@ def _bits(mask: int, start: int = 0) -> tuple[int, ...]:
     return tuple(compress(range(start, start + len(flags)), flags))
 
 
+def _mask_of(elems, lo: int = 0) -> int:
+    """Mask with bit x - ``lo`` set for each x of ``elems``, all at least ``lo``.
+
+    Linear in the span of ``elems``: one digit per integer, read as a binary
+    numeral with bit i at position i from the right.
+    """
+    if not elems:
+        return 0
+    digits = bytearray(b"0") * (max(elems) - lo + 1)
+    for x in elems:
+        digits[x - lo] = 49  # ord("1")
+    return int(digits[::-1], 2)
+
+
 def _from_mask(mask: int, lo: int, bound: int) -> tuple[int, int, int]:
     """Canonical core of {lo + i : bit i of ``mask``} | [bound, oo), for lo <= bound.
 
@@ -193,7 +207,7 @@ class NumericalSemigroup(_UpSet):
             if elems[-1] >= c:
                 raise ValueError("small elements must lie strictly below the conductor")
         object.__setattr__(self, "_lo", 0)
-        object.__setattr__(self, "_mask", sum(1 << x for x in elems))
+        object.__setattr__(self, "_mask", _mask_of(elems))
         object.__setattr__(self, "_c", c)
 
     # -- construction -----------------------------------------------------
@@ -417,22 +431,24 @@ def classify(s: NumericalSemigroup, method: str = "all") -> ClassificationReport
         raise RuntimeError(f"almost-symmetry criteria disagree on {s}: {results}")
     almost = results[names[0]]
 
-    f = s.frobenius
-    ell = s.second_type_gaps
-    if not ell:
-        symmetry_class = SYMMETRIC
-    elif f % 2 == 0 and ell == (f // 2,):
-        symmetry_class = PSEUDO_SYMMETRIC
-    elif almost:
-        symmetry_class = ALMOST_SYMMETRIC_PROPER
-    else:
-        symmetry_class = NOT_ALMOST_SYMMETRIC
-
     return ClassificationReport(
-        frobenius=f,
+        frobenius=s.frobenius,
         gaps=s.gaps,
-        second_type_gaps=ell,
+        second_type_gaps=s.second_type_gaps,
         pseudo_frobenius=s.pseudo_frobenius,
         type=s.type,
-        symmetry_class=symmetry_class,
+        symmetry_class=_symmetry_class(s, almost),
     )
+
+
+def _symmetry_class(s: NumericalSemigroup, almost: bool) -> str:
+    """The symmetry class of ``s``, almost symmetric or not as ``almost`` says.
+
+    Read from the second-type gap mask, without listing any gap.
+    """
+    f, ell = s.frobenius, s._second_type_mask
+    if not ell:
+        return SYMMETRIC
+    if f % 2 == 0 and ell == 1 << (f // 2):
+        return PSEUDO_SYMMETRIC
+    return ALMOST_SYMMETRIC_PROPER if almost else NOT_ALMOST_SYMMETRIC

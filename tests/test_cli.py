@@ -105,6 +105,14 @@ def test_enumerate_odd(capsys):
     assert {m["class"] for m in data["members"]} == {"odd-almost-symmetric"}
 
 
+def test_enumerate_json_is_one_compact_sorted_line(capsys):
+    code, out, _ = run(capsys, "enumerate-doubles", "--gens", "3,5,7",
+                       "--parity", "odd", "--max-frobenius", "15", "--json")
+    assert code == 0
+    fam = enumerate_odd_doubles(S1, 15)
+    assert out == json.dumps(jsonio.family_to_dict(fam), sort_keys=True) + "\n"
+
+
 def test_enumerate_requires_bound_for_odd(capsys):
     code, _, err = run(capsys, "enumerate-doubles", "--gens", "3,5,7", "--parity", "odd")
     assert code == 2
@@ -159,6 +167,16 @@ def test_huge_relative_ideal_is_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ideal span") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("parity", ["symmetric", "odd"])
+def test_huge_family_bound_is_rejected(capsys, parity):
+    # a family to 10^8 would have about 5 * 10^7 members, most of them with
+    # conductors past the limit
+    code, out, err = run(capsys, "enumerate-doubles", "--gens", "3,5", "--parity", parity,
+                         "--max-frobenius", "100000000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: bound 100000000") and err.count("\n") == 1
 
 
 def test_usage_error_missing_semigroup(capsys):

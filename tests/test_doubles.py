@@ -21,6 +21,7 @@ from sgdouble import doubles, oracle
 from sgdouble.doubles import KIND_EVEN, ideals_with_frobenius
 from sgdouble.duplication import sum_violation
 from sgdouble.errors import (
+    BoundTooLarge,
     BoundTooSmall,
     HypothesisViolated,
     IsNaturals,
@@ -172,6 +173,16 @@ class TestEnumerateSymmetric:
     def test_bound_too_small(self):
         with pytest.raises(BoundTooSmall):
             enumerate_symmetric_doubles(S2, 2)
+
+
+@pytest.mark.parametrize("enumerate_family", [enumerate_odd_doubles, enumerate_symmetric_doubles])
+def test_bound_past_the_conductor_limit_is_rejected(monkeypatch, enumerate_family):
+    # c(T) = f(T) + 1, so the largest bound allowed is the limit - 1; a small
+    # limit keeps the family at that bound small
+    monkeypatch.setattr(doubles, "CONDUCTOR_LIMIT", 40)
+    assert enumerate_family(S1, 39).members[-1].double.frobenius == 39
+    with pytest.raises(BoundTooLarge):
+        enumerate_family(S1, 40)
 
 
 class TestWitnessEvenDouble:
@@ -331,3 +342,17 @@ def test_certificates_are_consistent():
                 assert cert.double.frobenius % 2 == 0
             else:
                 assert cert.double.frobenius % 2 == 1
+    # the type and class a certificate reads from the masks are classify's,
+    # whose three almost-symmetry criteria cross-check each other, on every
+    # member of the three families of every S with f(S) <= 9
+    bases = [s for f in (-1, *range(1, 10)) for s in oracle.enum_semigroups_with_frobenius(f)]
+    members = 0
+    for s in bases:
+        f = s.frobenius
+        for fam in (enumerate_even_doubles(s), enumerate_odd_doubles(s, 2 * f + 9),
+                    enumerate_symmetric_doubles(s, 2 * f + 41)):
+            for cert in fam.members:
+                rep = classify(cert.double)
+                assert (cert.type, cert.symmetry_class) == (rep.type, rep.symmetry_class), cert
+                members += 1
+    assert members == 2227
