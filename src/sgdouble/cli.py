@@ -79,7 +79,8 @@ def _emit(args, data: Callable[[], dict], human: Callable[[], Iterable[str]]) ->
     if args.json:
         print(json.dumps(data(), sort_keys=True))
     else:
-        print("\n".join(human()))
+        for line in human():
+            print(line)
 
 
 def _fmt_ints(xs) -> str:

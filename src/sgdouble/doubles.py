@@ -117,19 +117,6 @@ def _base_context(s: NumericalSemigroup):
     return k, m, k - (m - m)
 
 
-def _odd_ideal_conditions(s: NumericalSemigroup, e: RelativeIdeal):
-    """Yield the conditions of the odd-type check that depend on E alone.
-
-    First the sandwich K - (M - M) <= tilde(E) <= K, which is cheap, then
-    whether K - tilde(E) is a numerical semigroup.  Lazy, so ``all`` stops
-    at the first failure.
-    """
-    k, _, kmm = _base_context(s)
-    tilde = e.tilde()
-    yield kmm <= tilde and tilde <= k
-    yield is_numerical_semigroup_set(k - tilde)
-
-
 def _odd_ideals(s: NumericalSemigroup):
     """For each f(E) = fe, the ideals at fe inside the sandwich K - (M - M) <= tilde(E) <= K.
 
@@ -139,31 +126,33 @@ def _odd_ideals(s: NumericalSemigroup):
     """
     _, _, kmm = _base_context(s)
     f = s.frobenius
-    return lambda fe: _ideals_between(s, fe, kmm.translate(fe - f))
+    return lambda fe: _ideals_between(s, fe, kmm.translate(fe - f), s)
 
 
 def _odd_ideal_part(s: NumericalSemigroup, e: RelativeIdeal):
-    """The odd-type check of E, as the offset condition left to decide.
+    """The odd-type check of E inside the walk's sandwich, as the offset condition left to decide.
 
-    None when one of the conditions of ``_odd_ideal_conditions`` fails, else
-    the predicate b + shift + E + K <= M on the offset b, with shift =
-    f(E) - f(S): the membership of b in M - (shift + E + K), an ideal
-    computed once for the many offsets the enumerator tries.
+    None when K - tilde(E) is not a numerical semigroup, else the predicate
+    b + shift + E + K <= M on the offset b, with shift = f(E) - f(S): the
+    membership of b in M - (shift + E + K), an ideal computed once for the
+    many offsets the enumerator tries.  Each accepted b meets the sum
+    condition: E - shift = tilde(E) <= K gives E + E + b <= b + shift + E + K <= M.
     """
-    if not all(_odd_ideal_conditions(s, e)):
-        return None
     k, m, _ = _base_context(s)
+    if not is_numerical_semigroup_set(k - e.tilde()):
+        return None
     return (m - (e + k).translate(e.frobenius - s.frobenius)).__contains__
 
 
 def odd_necessary_conditions(spec: DuplicationSpec) -> OddConditionReport:
     """Evaluate the three necessary conditions for an odd-type double."""
     s, e, b = spec.base, spec.ideal, spec.odd_offset
-    sandwich, dual_is_semigroup = _odd_ideal_conditions(s, e)
+    k, _, kmm = _base_context(s)
+    tilde = e.tilde()
     return OddConditionReport(
         frobenius_matches=(duplication_frobenius(spec) == 2 * e.frobenius + b),
-        sandwich=sandwich,
-        dual_is_semigroup=dual_is_semigroup,
+        sandwich=kmm <= tilde,  # tilde(E) <= K holds for every relative ideal
+        dual_is_semigroup=is_numerical_semigroup_set(k - tilde),
     )
 
 
@@ -174,8 +163,12 @@ def odd_double_check(spec: DuplicationSpec) -> bool:
     offset + shift + E + K <= M, where shift = f(E) - f(S).
     """
     s, e, b = spec.base, spec.ideal, spec.odd_offset
-    # f(T) = 2 f(E) + b exactly when 2 f(E) + b, an odd number, exceeds 2 f(S)
-    offset_ok = _odd_ideal_part(s, e) if 2 * e.frobenius + b > 2 * s.frobenius else None
+    _, _, kmm = _base_context(s)
+    # f(T) = 2 f(E) + b exactly when 2 f(E) + b, an odd number, exceeds 2 f(S);
+    # then the sandwich, which the odd enumerator's walk holds
+    if 2 * e.frobenius + b <= 2 * s.frobenius or not kmm <= e.tilde():
+        return False
+    offset_ok = _odd_ideal_part(s, e)
     return offset_ok is not None and offset_ok(b)
 
 
@@ -190,21 +183,26 @@ def _even_ideals(s: NumericalSemigroup):
     closure = k
     while (grown := closure + k) != closure:
         closure = grown
-    return lambda fe: _ideals_between(s, fe, closure, close=k)
+    return lambda fe: _ideals_between(s, fe, closure, k)
+
+
+def _sum_offsets(s: NumericalSemigroup, e: RelativeIdeal) -> RelativeIdeal:
+    """S - (E + E): the offsets b with E + E + b <= S, the duplication's own condition."""
+    return unit_ideal(s) - (e + e)
 
 
 def _even_ideal_part(s: NumericalSemigroup, e: RelativeIdeal):
     """The even-type check of E with K <= E - E, as the offset condition left to decide.
 
     The predicate M - E <= (E - M) + b on the offset b, together with the
-    sum filter E + E + b <= S, which every valid spec meets: the memberships
-    of -b in (E - M) - (M - E) and of b in S - (E + E), ideals computed once
-    for the many offsets the enumerator tries.  Assumes ``s`` is almost
-    symmetric.
+    sum condition E + E + b <= S, which every valid spec meets: the
+    memberships of -b in (E - M) - (M - E) and of b in ``_sum_offsets``,
+    ideals computed once for the many offsets the enumerator tries.  Assumes
+    ``s`` is almost symmetric.
     """
     _, m, _ = _base_context(s)
     offsets = (e - m) - (m - e)
-    sums = unit_ideal(s) - (e + e)
+    sums = _sum_offsets(s, e)
     return lambda b: -b in offsets and b in sums
 
 
@@ -229,35 +227,32 @@ def even_double_check(spec: DuplicationSpec) -> bool:
 # -- search space -------------------------------------------------------------
 
 
-def _ideals_between(s: NumericalSemigroup, fe: int, need: RelativeIdeal | None = None,
-                    close: RelativeIdeal | NumericalSemigroup | None = None,
+def _ideals_between(s: NumericalSemigroup, fe: int, need: _UpSet, close: _UpSet,
                     ) -> list[RelativeIdeal]:
     """The ideals E of ``s`` with m(E) = 0 and f(E) = ``fe`` that contain ``need``, unsorted.
 
-    ``need``, a relative ideal of ``s`` or None for no bound, leaves no
-    ideal when it has a member below 0.  ``close``, ``s`` itself by default
-    or a relative ideal of ``s`` with smallest member 0, is one more
-    condition: E + ``close`` <= E, which for S every ideal meets.  Such an
-    ideal is S plus a set X of gaps below fe (fe itself must be a gap, else
-    there are none).  A gap g can join X only when fe - g is not in
-    ``close``, and X must hold every gap below fe of g + ``close``.  The
-    walk takes the eligible gaps in decreasing order: a gap in ``need``
-    replaces the selections made so far with their extensions by it, and
-    any other gap adds those extensions.  A selection extends by g exactly
-    when the gaps below fe of g + ``close`` are already chosen.  ``need``
-    must be closed under adding ``close``, so the gaps a forced gap needs
-    are forced too and every selection extends to at least one ideal: the
-    cost grows with the number of ideals returned times the number of
-    eligible gaps, not with 2^(gaps below fe).
+    ``need`` is ``s`` or a relative ideal of ``s``, and leaves no ideal when
+    it has a member below 0.  ``close``, ``s`` or a relative ideal of ``s``
+    with smallest member 0, adds the condition E + ``close`` <= E, which for
+    S every ideal meets.  Such an ideal is S plus a set X of gaps below fe
+    (fe itself must be a gap, else there are none).  A gap g can join X
+    only when fe - g is not in ``close``, and X must hold every gap below fe
+    of g + ``close``.  The walk takes the eligible gaps in decreasing order:
+    a gap in ``need`` replaces the selections made so far with their
+    extensions by it, and any other gap adds those extensions.  A selection
+    extends by g exactly when the gaps below fe of g + ``close`` are already
+    chosen.  ``need`` must be closed under adding ``close``, so the gaps a
+    forced gap needs are forced too and every selection extends to at least
+    one ideal: the cost grows with the number of ideals returned times the
+    number of eligible gaps, not with 2^(gaps below fe).
     """
-    if need is not None and need.min_element < 0:
+    if need._lo < 0:
         return []
     if fe == -1:
         return [naturals_ideal(s)]
     if fe < 1 or fe in s:
         return []
-    close = s if close is None else close
-    forced = 0 if need is None else need._window(0, fe + 1)
+    forced = need._window(0, fe + 1)
     base = s._window(0, fe)
     free = [g for g in s.gaps if g < fe and (fe - g) not in close]
     # below fe + 1, E holds the base and may hold free gaps, but never fe
@@ -297,7 +292,8 @@ def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal
     only the ideals inside their checks' bounds.  fe values that admit no
     ideal yield the empty tuple.
     """
-    return tuple(sorted(_ideals_between(s, fe), key=_mask_order))
+    # every ideal with smallest member 0 contains S and is closed under it
+    return tuple(sorted(_ideals_between(s, fe, s, s), key=_mask_order))
 
 
 def _specs(s: NumericalSemigroup, lo: int, hi: int, ideals, ideal_part):
@@ -306,8 +302,7 @@ def _specs(s: NumericalSemigroup, lo: int, hi: int, ideals, ideal_part):
     Offsets b are the odd members of S with lo <= 2 f(E) + b <= hi, ``lo``
     odd, and ``ideals(f(E))`` gives the ideals to check for each f(E).
     ``ideal_part(s, e)`` runs once per ideal and is None when E fails, else
-    the predicate that decides each offset; an offset it accepts must then
-    pass the sum filter.
+    the predicate that decides each offset.
     """
     for fe in (-1, *s.gaps):
         bs = [b for b in range(lo - 2 * fe, hi - 2 * fe + 1, 2) if b in s]
@@ -320,7 +315,9 @@ def _specs(s: NumericalSemigroup, lo: int, hi: int, ideals, ideal_part):
             for b in bs:
                 if not offset_ok(b):
                     continue
-                try:  # the spec's own validation is the sum filter
+                # the odd and even parts accept only offsets meeting the sum
+                # condition: only candidate_specs filters by the validation
+                try:
                     spec = DuplicationSpec(s, e, b)
                 except SumNotInS:
                     continue
@@ -385,15 +382,14 @@ def enumerate_symmetric_doubles(s: NumericalSemigroup, max_frobenius: int) -> Do
     _check_bound(s, max_frobenius)
     f = s.frobenius
     k = canonical_ideal(s)
-    kk = k + k
-    unit = unit_ideal(s)
+    sums = _sum_offsets(s, k)
     b = 1
     while b not in s:
         b += 2
-    # the ideal-sum condition K+K + (f_t - 2f) <= S is split-independent
+    # the sum condition K + K + (f_t - 2f) <= S is split-independent
     specs = (DuplicationSpec(s, k.translate((f_t - b) // 2 - f), b)
              for f_t in range(2 * f + 1, max_frobenius + 1, 2)
-             if kk.translate(f_t - 2 * f) <= unit)
+             if f_t - 2 * f in sums)
     return _family(s, specs, KIND_SYMMETRIC, False)
 
 

@@ -51,6 +51,8 @@ def sum_violation(s: NumericalSemigroup, e: RelativeIdeal, b: int):
     Only sums below the conductor of s can fail, which bounds both factors.
     """
     lo = e.min_element
+    if 2 * lo + b < 0:  # the least sum is negative: the scan's first pair, without a mask
+        return lo, lo
     return _pair_violation(e._window(lo, s.conductor - b - lo), lo, b, s)
 
 

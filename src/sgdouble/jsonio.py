@@ -12,7 +12,8 @@ family     {"base": semigroup, "exhaustive": bool,
 The decoders raise :class:`SemigroupError` on malformed input: a value that
 is not an object, a missing key, or a field of the wrong JSON type.  A
 family member must also be the duplication of its spec, over the family's
-base, and its class must be one of the three kinds and fit the member.
+base, its class must be one of the three kinds and fit the member, and its
+type must be the member's.
 """
 
 from __future__ import annotations
@@ -140,6 +141,7 @@ def family_from_dict(d: dict) -> DoubleFamily:
         spec = spec_from_dict(_field(m, "spec", dict))
         t = semigroup_from_dict(_field(m, "t", dict))
         kind = _field(m, "class", str)
+        typ = _field(m, "type", int)
         if spec.base != base:
             raise SemigroupError(f"malformed JSON: the spec of member {t} is not over the base")
         if duplicate(spec) != t:
@@ -150,5 +152,7 @@ def family_from_dict(d: dict) -> DoubleFamily:
                 KIND_EVEN: report.almost_symmetric and report.type % 2 == 0}
         if not fits.get(kind):
             raise SemigroupError(f"malformed JSON: class {kind!r} does not fit member {t}")
+        if typ != report.type:
+            raise SemigroupError(f"malformed JSON: type {typ} is not the type of member {t}")
         members.append(DoubleCertificate(t, spec, kind, report.type, report.symmetry_class))
     return DoubleFamily(base, tuple(members), _field(d, "exhaustive", bool))

@@ -166,7 +166,8 @@ class _UpSet:
         return self._c - 1
 
     def __str__(self) -> str:
-        return "{" + ", ".join(map(str, (*self._listed, self._c))) + "->}"
+        # read from the mask, not ``_listed``, so printing caches no tuple
+        return "{" + ", ".join(map(str, (*_bits(self._mask, self._lo), self._c))) + "->}"
 
 
 @dataclass(frozen=True, init=False, repr=False)

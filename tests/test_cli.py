@@ -169,6 +169,16 @@ def test_huge_relative_ideal_is_rejected(capsys, argv):
     assert err.startswith("error: ideal span") and err.count("\n") == 1
 
 
+def test_negative_least_sum_is_rejected(capsys):
+    # E = [-10^9, oo) and b = 10^9 + 1: the least sum is negative, and the
+    # scan for a violating pair would build a window about 10^9 bits wide
+    code, out, err = run(capsys, "double", "--gens", "3,5", "--ideal=0",
+                         "--ideal-conductor", "-1000000000", "--b", "1000000001")
+    assert code == 1 and out == ""
+    assert err.startswith("error: -1000000000 + -1000000000 + 1000000001 = ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("parity", ["symmetric", "odd"])
 def test_huge_family_bound_is_rejected(capsys, parity):
     # a family to 10^8 would have about 5 * 10^7 members, most of them with

@@ -27,7 +27,7 @@ from sgdouble.errors import (
     IsNaturals,
     NotAlmostSymmetric,
 )
-from sgdouble.ideals import canonical_ideal, maximal_ideal, unit_ideal
+from sgdouble.ideals import canonical_ideal, maximal_ideal
 
 from cases import D1, D2, D3, E1, E2, F2, S1, S2, ST1, T1, T2
 
@@ -244,20 +244,20 @@ def test_ideals_with_frobenius_matches_oracle():
 def test_enumerators_walk_only_ideals_inside_their_check_bounds():
     # every S with f(S) <= 11, at every fe: the odd enumerator walks exactly
     # the ideals inside K - (M - M) <= tilde(E) <= K, the even one exactly
-    # those with K <= E - E, the E-only part of its check; the odd bound
-    # drops no ideal that the odd check's E-only part accepts, and its upper
-    # half tilde(E) <= K holds for every ideal, so the walk bounds only the
-    # lower one.  On the walked ideals, each offset membership test agrees
-    # with the inclusion it replaces, at every odd b the enumerators could try
+    # those with K <= E - E, the E-only part of its check; the odd check
+    # rejects every spec of an ideal the odd walk drops, and the sandwich's
+    # upper half tilde(E) <= K holds for every ideal, so the walk bounds only
+    # the lower one.  On the walked ideals, each offset membership test
+    # agrees with the inclusion it replaces, at every odd b the enumerators
+    # could try, and every offset the odd part accepts meets the sum condition
     bases = [s for f in (-1, *range(1, 12)) for s in oracle.enum_semigroups_with_frobenius(f)]
     assert len(bases) == 131
-    walked = total = tried = 0
+    walked = total = tried = dropped = 0
     for s in bases:
         f = s.frobenius
         k = canonical_ideal(s)
         m = maximal_ideal(s)
         kmm = k - (m - m)
-        unit = unit_ideal(s)
         for fe in (-1, *range(1, f + 1)):
             pool = ideals_with_frobenius(s, fe)
             total += 2 * len(pool)
@@ -265,15 +265,22 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
             odd = doubles._odd_ideals(s)(fe)
             assert sorted(odd, key=lambda e: e.elements_below) == [
                 e for e in pool if kmm <= e.tilde() <= k], (s, fe)
-            assert all(kmm <= e.tilde() <= k for e in pool
-                       if doubles._odd_ideal_part(s, e) is not None), (s, fe)
+            offsets = range(max(1, 2 * f + 1 - 2 * fe), 2 * f + 10 - 2 * fe, 2)
+            for e in pool:
+                if kmm <= e.tilde():
+                    continue
+                for b in offsets:
+                    if b in s and sum_violation(s, e, b) is None:
+                        assert not odd_double_check(DuplicationSpec(s, e, b)), (s, e, b)
+                        dropped += 1
             for e in odd:
                 offset_ok = doubles._odd_ideal_part(s, e)
                 if offset_ok is None:
                     continue
                 shifted_sum = (e + k).translate(e.frobenius - f)
-                for b in range(max(1, 2 * f + 1 - 2 * fe), 2 * f + 10 - 2 * fe, 2):
+                for b in offsets:
                     assert offset_ok(b) == (shifted_sum.translate(b) <= m), (s, e, b)
+                    assert not offset_ok(b) or sum_violation(s, e, b) is None, (s, e, b)
                     tried += 1
             even = doubles._even_ideals(s)(fe)
             assert sorted(even, key=lambda e: e.elements_below) == [
@@ -285,11 +292,11 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
                     sum_old = sum_violation(s, e, b) is None
                     assert offset_ok(b) == (offset_old and sum_old), (s, e, b)
                     assert (-b in (e - m) - (m - e)) == offset_old
-                    assert (b in unit - (e + e)) == sum_old
+                    assert (b in doubles._sum_offsets(s, e)) == sum_old
                     tried += 1
             walked += len(odd) + len(even)
     assert 0 < walked < total / 2
-    assert tried == 13818
+    assert tried == 13818 and dropped > 0
 
 
 @pytest.mark.slow

@@ -14,8 +14,11 @@ from sgdouble import (
     normalize_params,
     relative_ideal,
 )
+from sgdouble.doubles import ideals_with_frobenius
+from sgdouble.duplication import sum_violation
 from sgdouble.errors import AmbientMismatch, InvalidB, SumNotInS
 from sgdouble.ideals import RelativeIdeal
+from sgdouble.semigroup import _pair_violation
 
 from cases import D1, D2, D3, E1, E2, E4, F2, S1, S2, ST1, T1, T2
 
@@ -37,6 +40,22 @@ class TestSpecValidation:
         assert exc.value.witness == (0, 1)
         with pytest.raises(SumNotInS):
             DuplicationSpec(S1, E4, 3)
+
+    def test_negative_least_sum_witness_matches_the_scan(self):
+        # 2 m(E) + b < 0 is answered (m(E), m(E)) without a mask: the pair
+        # the full scan over E's members reports first
+        checked = 0
+        for s in (S1, S2, T1):
+            for fe in (-1, *s.gaps):
+                for e in ideals_with_frobenius(s, fe):
+                    for lo in range(-12, 0):
+                        shifted = e.translate(lo)
+                        for b in range(1, -2 * lo, 2):
+                            scan = _pair_violation(
+                                shifted._window(lo, s.conductor - b - lo), lo, b, s)
+                            assert sum_violation(s, shifted, b) == scan == (lo, lo)
+                            checked += 1
+        assert checked > 0
 
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):

@@ -85,6 +85,10 @@ def _malformed_cases():
         # the first member of the family is pseudo-symmetric
         (jsonio.family_from_dict, {**family, "members": [{**first, "class": "symmetric"}]}),
         (jsonio.family_from_dict, {**family, "members": [{**first, "class": "almost"}]}),
+        (jsonio.family_from_dict, {**family, "members": [
+            {k: v for k, v in first.items() if k != "type"}]}),
+        (jsonio.family_from_dict, {**family, "members": [{**first, "type": 99}]}),
+        (jsonio.family_from_dict, {**family, "members": [{**first, "type": True}]}),
     ]
 
 

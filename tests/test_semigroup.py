@@ -191,6 +191,13 @@ def test_str_notation():
     assert str(NATURALS) == "{0->}"
 
 
+def test_str_caches_no_member_tuple():
+    # printing a large family must not leave a member tuple on each double
+    t = NumericalSemigroup.from_generators([4, 6, 9])
+    assert str(t) == "{0, 4, 6, 8, 9, 10, 12->}"
+    assert "_listed" not in vars(t)
+
+
 # -- bitmask invariants against the definitions --------------------------------
 
 
