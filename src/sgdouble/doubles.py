@@ -13,15 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .duplication import DuplicationSpec, duplicate, duplication_frobenius, half
-from .errors import (
-    BoundTooLarge,
-    BoundTooSmall,
-    HypothesisViolated,
-    IsNaturals,
-    NotAlmostSymmetric,
-    SumNotInS,
-)
+from .duplication import DuplicationSpec, duplicate, duplication_frobenius, half, sum_violation
+from .errors import BoundTooLarge, BoundTooSmall, HypothesisViolated, IsNaturals, NotAlmostSymmetric
 from .ideals import (
     RelativeIdeal,
     _build,
@@ -297,12 +290,13 @@ def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal
 
 
 def _specs(s: NumericalSemigroup, lo: int, hi: int, ideals, ideal_part):
-    """Yield the valid normalized specs over ``s`` that pass a two-part check.
+    """Yield the normalized specs over ``s`` that pass a two-part check.
 
     Offsets b are the odd members of S with lo <= 2 f(E) + b <= hi, ``lo``
     odd, and ``ideals(f(E))`` gives the ideals to check for each f(E).
     ``ideal_part(s, e)`` runs once per ideal and is None when E fails, else
-    the predicate that decides each offset.
+    the predicate that decides each offset; it accepts only offsets with
+    E + E + b <= S, so the specs skip the constructor's checks.
     """
     for fe in (-1, *s.gaps):
         bs = [b for b in range(lo - 2 * fe, hi - 2 * fe + 1, 2) if b in s]
@@ -313,15 +307,8 @@ def _specs(s: NumericalSemigroup, lo: int, hi: int, ideals, ideal_part):
             if offset_ok is None:
                 continue
             for b in bs:
-                if not offset_ok(b):
-                    continue
-                # the odd and even parts accept only offsets meeting the sum
-                # condition: only candidate_specs filters by the validation
-                try:
-                    spec = DuplicationSpec(s, e, b)
-                except SumNotInS:
-                    continue
-                yield spec
+                if offset_ok(b):
+                    yield DuplicationSpec._of(s, e, b)
 
 
 def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
@@ -333,7 +320,7 @@ def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
     """
     # every offset b >= 1 meets 2 f(E) + b >= -1, since f(E) >= -1
     return _specs(s, -1, max_frobenius, lambda fe: ideals_with_frobenius(s, fe),
-                  lambda s, e: lambda b: True)
+                  lambda s, e: lambda b: sum_violation(s, e, b) is None)
 
 
 def _family(base: NumericalSemigroup, specs, kind: str, exhaustive: bool) -> DoubleFamily:
@@ -387,7 +374,7 @@ def enumerate_symmetric_doubles(s: NumericalSemigroup, max_frobenius: int) -> Do
     while b not in s:
         b += 2
     # the sum condition K + K + (f_t - 2f) <= S is split-independent
-    specs = (DuplicationSpec(s, k.translate((f_t - b) // 2 - f), b)
+    specs = (DuplicationSpec._of(s, k.translate((f_t - b) // 2 - f), b)
              for f_t in range(2 * f + 1, max_frobenius + 1, 2)
              if f_t - 2 * f in sums)
     return _family(s, specs, KIND_SYMMETRIC, False)
@@ -430,7 +417,8 @@ def witness_even_double(s: NumericalSemigroup) -> DuplicationSpec:
         raise NotAlmostSymmetric(f"{s} is not almost symmetric")
     f = s.frobenius
     b = f + 1 if (f + 1) % 2 == 1 else f + 2
-    return DuplicationSpec(s, naturals_ideal(s), b)
+    # N + N + b <= [f + 1, oo) <= S
+    return DuplicationSpec._of(s, naturals_ideal(s), b)
 
 
 # -- type relations between a double and its half ------------------------------

@@ -23,12 +23,22 @@ class DuplicationSpec:
     Construction enforces the invariants: the ideal lives over ``base``,
     ``odd_offset`` is an odd member of ``base``, and ideal + ideal + offset
     stays inside ``base`` (raising :class:`SumNotInS` with a witness pair
-    otherwise).
+    otherwise).  Specs the kernel builds itself meet them by construction
+    and skip the checks, through ``_of``.
     """
 
     base: NumericalSemigroup
     ideal: RelativeIdeal
     odd_offset: int
+
+    @classmethod
+    def _of(cls, base: NumericalSemigroup, ideal: RelativeIdeal, odd_offset: int):
+        """Unchecked construction from a triple known to be valid."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "base", base)
+        object.__setattr__(spec, "ideal", ideal)
+        object.__setattr__(spec, "odd_offset", odd_offset)
+        return spec
 
     def __post_init__(self):
         if self.ideal.ambient != self.base:
@@ -98,7 +108,8 @@ def decompose(t: NumericalSemigroup, b: int) -> DuplicationSpec:
     # {y : 2y + 1 in t}, the odd bits of t, which holds every y from
     # c(t) // 2 on, shifted by (1 - b) / 2
     odd_half = _build(s, _unspread(t._mask >> 1), 0, t._c // 2)
-    return DuplicationSpec(s, odd_half.translate((1 - b) // 2), b)
+    # x + y + b is in s for x, y in E: 2(x + y + b) = (2x + b) + (2y + b) is in t
+    return DuplicationSpec._of(s, odd_half.translate((1 - b) // 2), b)
 
 
 def duplication_frobenius(spec: DuplicationSpec) -> int:
@@ -137,4 +148,5 @@ def normalize_params(spec: DuplicationSpec) -> DuplicationSpec:
     m = spec.ideal.min_element
     if m == 0:
         return spec
-    return DuplicationSpec(spec.base, spec.ideal.translate(-m), spec.odd_offset + 2 * m)
+    # the same sums E + E + b, and the new offset m + m + b is one of them
+    return DuplicationSpec._of(spec.base, spec.ideal.translate(-m), spec.odd_offset + 2 * m)

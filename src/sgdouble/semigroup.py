@@ -322,8 +322,8 @@ class NumericalSemigroup(_UpSet):
 
     @property
     def type(self) -> int:
-        """Number of pseudo-Frobenius numbers."""
-        return len(self.pseudo_frobenius)
+        """Number of pseudo-Frobenius numbers, counted without listing them."""
+        return 1 if self.is_naturals else self._pf_mask.bit_count()
 
     @cached_property
     def minimal_generators(self) -> tuple[int, ...]:

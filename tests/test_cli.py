@@ -74,6 +74,14 @@ def test_decompose(capsys):
     assert spec.ideal.elements_below == (2, 5, 7, 9, 10, 11, 12)
 
 
+def test_decompose_at_a_huge_offset(capsys):
+    # the ideal reaches down to about -b/2: nothing may build a window as
+    # wide as b
+    code, out, _ = run(capsys, "decompose", "--gens", "3,5", "--b", "10000000001")
+    assert code == 0
+    assert "ideal minimum       -4999999999" in out
+
+
 def test_enumerate_even_round_trips(capsys):
     code, data, _ = run_json(
         capsys, "enumerate-doubles", "--gens", "3,5,7", "--parity", "even"

@@ -4,9 +4,9 @@ import pytest
 
 from sgdouble import DuplicationSpec, classify, enumerate_even_doubles, naturals_ideal
 from sgdouble import jsonio
-from sgdouble.errors import SemigroupError
+from sgdouble.errors import SemigroupError, SumNotInS
 
-from cases import E2, F2, K1, S1, S2, T1
+from cases import E1, E2, F2, K1, S1, S2, T1
 
 
 def through_json(obj):
@@ -54,6 +54,22 @@ def test_family_roundtrip():
     fam = enumerate_even_doubles(S1)
     d = through_json(jsonio.family_to_dict(fam))
     assert jsonio.family_from_dict(d) == fam
+
+
+def test_decoders_validate_the_sum_condition():
+    # N + N + 3 holds 4, a gap of S1: decoded specs go through the
+    # validating constructor, family members too
+    d = {"s": jsonio.semigroup_to_dict(S1), "e": jsonio.ideal_to_dict(E1), "b": 3}
+    with pytest.raises(SumNotInS) as exc:
+        jsonio.spec_from_dict(through_json(d))
+    assert exc.value.witness == (0, 1)
+    family = jsonio.family_to_dict(enumerate_even_doubles(S1))
+    first, second, *rest = family["members"]
+    assert second["spec"] == {**d, "b": 5}
+    second = {**second, "spec": d}
+    with pytest.raises(SumNotInS) as exc:
+        jsonio.family_from_dict(through_json({**family, "members": [first, second, *rest]}))
+    assert exc.value.witness == (0, 1)
 
 
 def _malformed_cases():

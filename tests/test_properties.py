@@ -15,12 +15,16 @@ from sgdouble import (
     duplicate,
     duplication_canonical_ideal,
     duplication_frobenius,
+    enumerate_even_doubles,
+    enumerate_odd_doubles,
+    enumerate_symmetric_doubles,
     half,
     is_numerical_semigroup_set,
     maximal_ideal,
     naturals_ideal,
     normalize_params,
     relative_ideal,
+    witness_even_double,
 )
 import sgdouble
 from sgdouble import oracle
@@ -225,8 +229,15 @@ def _kernel_built_values(s):
         t = duplicate(spec)
         # at the spec's own offset, and at an odd offset past the conductor,
         # which mostly gives ideals with negative members
-        yield from (t, half(t), decompose(t, spec.odd_offset).ideal,
-                    decompose(t, t.conductor | 1).ideal)
+        own, past = decompose(t, spec.odd_offset), decompose(t, t.conductor | 1)
+        yield from (spec, t, half(t), own, own.ideal, past, past.ideal,
+                    normalize_params(own), normalize_params(past))
+    f = s.frobenius
+    for fam in (enumerate_even_doubles(s), enumerate_odd_doubles(s, 2 * f + 9),
+                enumerate_symmetric_doubles(s, 2 * f + 9)):
+        yield from (c.spec for c in fam.members)
+    if not s.is_naturals and classify(s).almost_symmetric:
+        yield witness_even_double(s)
 
 
 def test_kernel_built_values_are_canonical():
@@ -242,6 +253,9 @@ def test_kernel_built_values_are_canonical():
                 assert type(v.small_elements) is tuple, v
                 rebuilt = NumericalSemigroup.from_small_elements(v.small_elements, v.conductor)
                 assert v == rebuilt and v._mask == rebuilt._mask, v
+            elif isinstance(v, DuplicationSpec):
+                # the validating constructor accepts the spec and equals it
+                assert DuplicationSpec(v.base, v.ideal, v.odd_offset) == v, v
             else:
                 assert type(v.elements_below) is tuple, v
                 rebuilt = RelativeIdeal(v.ambient, v.elements_below, v.ideal_conductor)
