@@ -63,6 +63,9 @@ class DoubleCertificate:
 class DoubleFamily:
     """Doubles of ``base``, pairwise distinct, in canonical order.
 
+    Each member is certified by the one spec that produced it: a double has
+    exactly one normalized spec, and the symmetric family one spec per f(T).
+
     ``exhaustive`` is True only when no further double of the requested kind
     exists at all (the even-type family); bounded enumerations of the
     infinite families report False.
@@ -315,30 +318,34 @@ def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
     """Yield every valid normalized spec over ``s`` with f(T) <= max_frobenius.
 
     Normalized means the ideal's smallest element is zero; every double of
-    ``s`` is realized by at least one such spec.  The bound constrains the
-    odd branch 2 f(E) + offset; callers pass max_frobenius >= 2 f(S).
+    ``s`` is realized by exactly one such spec, whose offset is the double's
+    least odd member.  The bound constrains the odd branch 2 f(E) + offset;
+    callers pass max_frobenius >= 2 f(S).
     """
     # every offset b >= 1 meets 2 f(E) + b >= -1, since f(E) >= -1
     return _specs(s, -1, max_frobenius, lambda fe: ideals_with_frobenius(s, fe),
                   lambda s, e: lambda b: sum_violation(s, e, b) is None)
 
 
-def _family(base: NumericalSemigroup, specs, kind: str, exhaustive: bool) -> DoubleFamily:
-    """The distinct doubles of ``specs`` in canonical order.
+def _certificate(t: NumericalSemigroup, spec: DuplicationSpec, kind: str) -> DoubleCertificate:
+    """The certificate of ``t``, the duplication of ``spec``, as a double of ``kind``.
 
-    Each double is certified by its spec with the least (offset, ideal
-    elements).
+    The type and class are read from the masks: no gap tuple per member.
     """
-    found: dict = {}
-    for spec in specs:
-        t = duplicate(spec)
-        key = (spec.odd_offset, spec.ideal.elements_below)
-        if t not in found or key < found[t][0]:
-            found[t] = (key, spec)
-    # the type and class are read from the masks: no gap tuple per member
-    members = (DoubleCertificate(t, found[t][1], kind, t.type,
-                                 _symmetry_class(t, _almost_symmetric_by_definition(t)))
-               for t in sorted(found, key=_mask_order))
+    return DoubleCertificate(t, spec, kind, t.type,
+                             _symmetry_class(t, _almost_symmetric_by_definition(t)))
+
+
+def _family(base: NumericalSemigroup, specs, kind: str, exhaustive: bool) -> DoubleFamily:
+    """The doubles of ``specs`` in canonical order, each certified by its spec.
+
+    Distinct specs give distinct doubles, so each double has exactly one
+    spec: a normalized spec (S, E, b) is read off its double T as
+    (T/2, {x : 2x + b in T}, b), b the least odd member of T, and the
+    symmetric enumerator gives one spec per f(T).
+    """
+    members = sorted((_certificate(duplicate(spec), spec, kind) for spec in specs),
+                     key=lambda cert: _mask_order(cert.double))
     return DoubleFamily(base, tuple(members), exhaustive)
 
 

@@ -190,11 +190,14 @@ def relative_ideal(ambient: NumericalSemigroup, elems: Iterable[int],
     # Checking the minimal generators of the ambient semigroup against the
     # listed elements is complete: sums involving the tail of either set land
     # past the ideal's conductor, and closure under the generators implies
-    # closure under every element they generate.
-    for e in ideal.elements_below:
-        for g in ambient.minimal_generators:
-            if (e + g) not in ideal:
-                raise NotAnIdeal(f"{e} + {g} = {e + g} escapes the set", witness=(e, g))
+    # closure under every element they generate.  One mask test per
+    # generator g: the listed e with e + g outside the ideal.
+    lo, c = ideal._lo, ideal._c
+    escapes = [(lo + (bad & -bad).bit_length() - 1, g) for g in ambient.minimal_generators
+               if (bad := ideal._mask & ~ideal._window(lo + g, c + g))]
+    if escapes:
+        e, g = min(escapes)
+        raise NotAnIdeal(f"{e} + {g} = {e + g} escapes the set", witness=(e, g))
     return ideal
 
 

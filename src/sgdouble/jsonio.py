@@ -18,11 +18,11 @@ type must be the member's.
 
 from __future__ import annotations
 
-from .doubles import KIND_EVEN, KIND_ODD, KIND_SYMMETRIC, DoubleCertificate, DoubleFamily
+from .doubles import KIND_EVEN, KIND_ODD, KIND_SYMMETRIC, DoubleFamily, _certificate
 from .duplication import DuplicationSpec, duplicate
 from .errors import SemigroupError
-from .ideals import RelativeIdeal
-from .semigroup import ClassificationReport, NumericalSemigroup, classify
+from .ideals import RelativeIdeal, relative_ideal
+from .semigroup import NOT_ALMOST_SYMMETRIC, SYMMETRIC, ClassificationReport, NumericalSemigroup
 
 # Python types of the decoded JSON values.  Fields are tested by exact type,
 # since bool is a subclass of int.
@@ -71,8 +71,6 @@ def ideal_to_dict(e: RelativeIdeal) -> dict:
 
 
 def ideal_from_dict(d: dict) -> RelativeIdeal:
-    from .ideals import relative_ideal
-
     return relative_ideal(
         semigroup_from_dict(_field(d, "ambient", dict)),
         _ints(d, "elements"),
@@ -146,13 +144,14 @@ def family_from_dict(d: dict) -> DoubleFamily:
             raise SemigroupError(f"malformed JSON: the spec of member {t} is not over the base")
         if duplicate(spec) != t:
             raise SemigroupError(f"malformed JSON: member {t} is not the duplication of its spec")
-        report = classify(t)
-        fits = {KIND_SYMMETRIC: report.symmetric,
-                KIND_ODD: report.almost_symmetric and report.type % 2 == 1,
-                KIND_EVEN: report.almost_symmetric and report.type % 2 == 0}
+        cert = _certificate(t, spec, kind)
+        almost = cert.symmetry_class != NOT_ALMOST_SYMMETRIC
+        fits = {KIND_SYMMETRIC: cert.symmetry_class == SYMMETRIC,
+                KIND_ODD: almost and cert.type % 2 == 1,
+                KIND_EVEN: almost and cert.type % 2 == 0}
         if not fits.get(kind):
             raise SemigroupError(f"malformed JSON: class {kind!r} does not fit member {t}")
-        if typ != report.type:
+        if typ != cert.type:
             raise SemigroupError(f"malformed JSON: type {typ} is not the type of member {t}")
-        members.append(DoubleCertificate(t, spec, kind, report.type, report.symmetry_class))
+        members.append(cert)
     return DoubleFamily(base, tuple(members), _field(d, "exhaustive", bool))

@@ -94,14 +94,25 @@ def _from_mask(mask: int, lo: int, bound: int) -> tuple[int, int, int]:
 
 def _pair_violation(mem: int, lo: int, shift: int, target: "_UpSet"):
     """The first pair a <= b (least a, then least b) of the integers lo + i,
-    i a set bit of ``mem``, with a + b + shift outside ``target``; or None.
+    i a set bit of ``mem``, with a + b + shift outside ``target``, a set
+    with smallest member 0; or None.
 
     Sums from the target's conductor on are members: one mask test per a.
+    With m the target's least positive member, only an a with a - m not
+    listed can come first, when the target is closed under adding m (then
+    (a - m, b) passing puts a + b + shift in it), or when ``mem`` lists the
+    target's own nonzero members below its conductor and shift is 0 (then
+    (m, a - m + b) fails, with m < a).  When ``mem`` is closed under adding
+    m, as an ideal's members are, those are at most m values, one per
+    residue mod m.
     """
     start = 2 * lo + shift  # the least sum
     width = max(target._c - start, 0)
     missing = ~target._window(start, target._c) & ((1 << width) - 1)
-    for i in _bits(mem & ((1 << (width + 1) // 2) - 1)):  # a + a below the conductor
+    positive = target._mask & ~1
+    m = (positive & -positive).bit_length() - 1 if positive else max(target._c, 1)
+    firsts = mem & ~(mem << m)
+    for i in _bits(firsts & ((1 << (width + 1) // 2) - 1)):  # a + a below the conductor
         hit = missing >> i & mem >> i << i  # the b >= a whose sum is missing
         if hit:
             return lo + i, lo + (hit & -hit).bit_length() - 1
@@ -138,9 +149,9 @@ class _UpSet:
         object.__setattr__(u, "_c", c)
         return u
 
-    @cached_property
+    @property
     def _listed(self) -> tuple[int, ...]:
-        """The ascending members below the conductor, read from the mask."""
+        """The ascending members below the conductor, read from the mask on every access."""
         return _bits(self._mask, self._lo)
 
     def __repr__(self) -> str:
@@ -166,8 +177,7 @@ class _UpSet:
         return self._c - 1
 
     def __str__(self) -> str:
-        # read from the mask, not ``_listed``, so printing caches no tuple
-        return "{" + ", ".join(map(str, (*_bits(self._mask, self._lo), self._c))) + "->}"
+        return "{" + ", ".join(map(str, (*self._listed, self._c))) + "->}"
 
 
 @dataclass(frozen=True, init=False, repr=False)

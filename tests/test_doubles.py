@@ -4,6 +4,7 @@ from sgdouble import (
     NATURALS,
     DuplicationSpec,
     classify,
+    decompose,
     duplicate,
     enumerate_even_doubles,
     enumerate_odd_doubles,
@@ -18,7 +19,7 @@ from sgdouble import (
     witness_even_double,
 )
 from sgdouble import doubles, oracle
-from sgdouble.doubles import KIND_EVEN, ideals_with_frobenius
+from sgdouble.doubles import KIND_EVEN, candidate_specs, ideals_with_frobenius
 from sgdouble.duplication import sum_violation
 from sgdouble.errors import (
     BoundTooLarge,
@@ -28,6 +29,7 @@ from sgdouble.errors import (
     NotAlmostSymmetric,
 )
 from sgdouble.ideals import canonical_ideal, maximal_ideal
+from sgdouble.semigroup import canonical_key
 
 from cases import D1, D2, D3, E1, E2, F2, S1, S2, ST1, T1, T2
 
@@ -335,6 +337,27 @@ def test_even_family_matches_oracle_at_frobenius_12_to_15():
         assert even == oracle.brute_doubles(s, "even", 2 * s.frobenius), s
         doubles += len(even)
     assert doubles == 2031
+
+
+def test_each_double_has_exactly_one_normalized_spec():
+    # a normalized spec is read off its double T: b is the least odd member
+    # of T and the spec is decompose(T, b).  So the specs give pairwise
+    # distinct doubles, which are all the doubles the odd-part search finds,
+    # for every S with f <= 9 up to f(T) = 2 f(S) + 9
+    bases = [s for f in (-1, *range(1, 10)) for s in oracle.enum_semigroups_with_frobenius(f)]
+    specs = 0
+    for s in bases:
+        bound = 2 * s.frobenius + 9
+        found = []
+        for spec in candidate_specs(s, bound):
+            t = duplicate(spec)
+            b = next(x for x in range(1, t.conductor + 2, 2) if x in t)
+            assert spec.odd_offset == b and decompose(t, b) == spec, spec
+            found.append(t)
+        assert len(set(found)) == len(found), s
+        assert sorted(found, key=canonical_key) == oracle.brute_all_doubles(s, bound), s
+        specs += len(found)
+    assert (len(bases), specs) == (58, 7609)
 
 
 def test_certificates_are_consistent():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sgdouble import (
@@ -12,6 +14,7 @@ from sgdouble import (
     half,
     naturals_ideal,
     normalize_params,
+    oracle,
     relative_ideal,
 )
 from sgdouble.doubles import ideals_with_frobenius
@@ -40,6 +43,34 @@ class TestSpecValidation:
         assert exc.value.witness == (0, 1)
         with pytest.raises(SumNotInS):
             DuplicationSpec(S1, E4, 3)
+        # the scan tries only first terms e1 with e1 - m outside E, m the
+        # multiplicity of S: on seeded random sets E, ideals or not, with
+        # smallest member -3 to 3, and odd b in S up to 2 f(S) + 5, it
+        # reports the least failing pair of a loop over all pairs
+        rng = random.Random(14)
+        bases = [s for f in (-1, *range(1, 10)) for s in oracle.enum_semigroups_with_frobenius(f)]
+        outcomes = set()
+        for _ in range(4000):
+            s = rng.choice(bases)
+            lo, density = rng.randint(-3, 3), rng.random()
+            c = lo + rng.randint(2, 16)
+            e = RelativeIdeal(s, [lo, *(x for x in range(lo + 1, c - 1) if rng.random() < density)], c)
+            b = rng.choice([x for x in range(1, 2 * s.frobenius + 6, 2) if x in s])
+            members = [x for x in range(lo, s.conductor - b - lo + 1) if x in e]
+            naive = next(((x, y) for x in members for y in members
+                          if x <= y and x + y + b not in s), None)
+            assert sum_violation(s, e, b) == naive, (s, e, b)
+            try:
+                DuplicationSpec(s, e, b)
+                witness = None
+            except SumNotInS as exc:
+                witness, message = exc.witness, str(exc)
+            assert witness == naive
+            if naive is not None:
+                x, y = naive
+                assert message == f"{x} + {y} + {b} = {x + y + b} is not in the base semigroup"
+            outcomes.add(naive is None)
+        assert outcomes == {True, False}
 
     def test_negative_least_sum_witness_matches_the_scan(self):
         # 2 m(E) + b < 0 is answered (m(E), m(E)) without a mask: the pair

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sgdouble import (
@@ -6,6 +8,7 @@ from sgdouble import (
     is_numerical_semigroup_set,
     maximal_ideal,
     naturals_ideal,
+    oracle,
     relative_ideal,
 )
 from sgdouble.errors import AmbientMismatch, BoundTooLarge, NotAnIdeal
@@ -32,6 +35,31 @@ class TestConstruction:
         with pytest.raises(NotAnIdeal) as exc:
             ideal(S1, [0, 1, 2], 4)
         assert exc.value.witness == (0, 3)
+        # one mask test per minimal generator g: on seeded random sets over
+        # the S with f <= 11, the witness is the least (e, g) of a loop over
+        # the listed members and the generators
+        rng = random.Random(14)
+        bases = [s for f in (-1, *range(1, 12)) for s in oracle.enum_semigroups_with_frobenius(f)]
+        outcomes = set()
+        for _ in range(4000):
+            s = rng.choice(bases)
+            lo, density = rng.randint(-3, 3), rng.random()
+            c = lo + rng.randint(0, 20)
+            elems = [x for x in range(lo, c + 3) if rng.random() < density]
+            members = set(elems)
+            naive = next(((x, g) for x in sorted(members) if x < c for g in s.minimal_generators
+                          if x + g < c and x + g not in members), None)
+            try:
+                ideal(s, elems, c)
+                witness = None
+            except NotAnIdeal as exc:
+                witness, message = exc.witness, str(exc)
+            assert witness == naive, (s, elems, c)
+            if naive is not None:
+                x, g = naive
+                assert message == f"{x} + {g} = {x + g} escapes the set"
+            outcomes.add(naive is None)
+        assert outcomes == {True, False}
 
     def test_conductor_normalization(self):
         # a listed element equal to conductor - 1 just shifts the conductor down

@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from sgdouble import DuplicationSpec, classify, enumerate_even_doubles, naturals_ideal
+from sgdouble import (
+    DuplicationSpec,
+    classify,
+    enumerate_even_doubles,
+    enumerate_symmetric_doubles,
+    naturals_ideal,
+)
 from sgdouble import jsonio
 from sgdouble.errors import SemigroupError, SumNotInS
 
@@ -56,6 +62,16 @@ def test_family_roundtrip():
     assert jsonio.family_from_dict(d) == fam
 
 
+def test_family_decoding_leaves_the_classify_memo_alone():
+    # the decoder reads each member's type and class from its masks, as the
+    # enumerators do, and fills no memo with gap tuples
+    fam = enumerate_symmetric_doubles(S1, 60)
+    d = through_json(jsonio.family_to_dict(fam))
+    classify.cache_clear()
+    assert jsonio.family_from_dict(d) == fam
+    assert classify.cache_info().currsize == 0
+
+
 def test_decoders_validate_the_sum_condition():
     # N + N + 3 holds 4, a gap of S1: decoded specs go through the
     # validating constructor, family members too
@@ -105,6 +121,9 @@ def _malformed_cases():
             {k: v for k, v in first.items() if k != "type"}]}),
         (jsonio.family_from_dict, {**family, "members": [{**first, "type": 99}]}),
         (jsonio.family_from_dict, {**family, "members": [{**first, "type": True}]}),
+        # almost symmetric, but of even type 2
+        (jsonio.family_from_dict, {**family, "members": [
+            {**first, "class": "odd-almost-symmetric"}]}),
     ]
 
 

@@ -1,12 +1,18 @@
+import random
+
 import pytest
 
 from sgdouble import (
     NATURALS,
     NumericalSemigroup,
     classify,
+    enumerate_even_doubles,
     enumerate_odd_doubles,
     enumerate_symmetric_doubles,
+    is_numerical_semigroup_set,
+    jsonio,
     oracle,
+    relative_ideal,
     semigroup,
 )
 from sgdouble.errors import (
@@ -17,6 +23,7 @@ from sgdouble.errors import (
     NonCoprimeGenerators,
     NotClosed,
 )
+from sgdouble.ideals import RelativeIdeal
 
 from cases import D3, S1, S2, T1, T2
 
@@ -83,6 +90,30 @@ class TestFromSmallElements:
         with pytest.raises(NotClosed) as exc:
             NumericalSemigroup.from_small_elements([0, 2], 5)
         assert exc.value.witness == (2, 2)
+        # the scan tries only first terms a with a - m unlisted, m the
+        # multiplicity: on seeded random candidate sets it reports the
+        # least failing pair of a loop over all pairs, for semigroups and
+        # for is_numerical_semigroup_set alike
+        rng = random.Random(14)
+        outcomes = set()
+        for _ in range(4000):
+            c = rng.randint(2, 30)
+            density = rng.random()
+            elems = [0, *(x for x in range(1, c - 1) if rng.random() < density)]
+            naive = next(((a, b) for a in elems[1:] for b in elems[1:]
+                          if a <= b and a + b < c and a + b not in elems), None)
+            try:
+                NumericalSemigroup.from_small_elements(elems, c)
+                witness = None
+            except NotClosed as exc:
+                witness, message = exc.witness, str(exc)
+            assert witness == naive, (elems, c)
+            if naive is not None:
+                a, b = naive
+                assert message == f"{a} + {b} = {a + b} is missing"
+            assert is_numerical_semigroup_set(RelativeIdeal(NATURALS, elems, c)) == (naive is None)
+            outcomes.add(naive is None)
+        assert outcomes == {True, False}
 
     def test_missing_zero(self):
         with pytest.raises(MissingZero):
@@ -192,10 +223,20 @@ def test_str_notation():
 
 
 def test_str_caches_no_member_tuple():
-    # printing a large family must not leave a member tuple on each double
+    # printing, listing or encoding a large family must not leave a member
+    # tuple on each double or ideal: member lists are read from the mask
     t = NumericalSemigroup.from_generators([4, 6, 9])
     assert str(t) == "{0, 4, 6, 8, 9, 10, 12->}"
-    assert "_listed" not in vars(t)
+    assert t.small_elements == (0, 4, 6, 8, 9, 10)
+    e = relative_ideal(t, [0, 2, 4], 6)
+    assert e.elements_below == (0, 2, 4)
+    values = [t, e]
+    for fam in (enumerate_even_doubles(S1), enumerate_symmetric_doubles(S1, 30)):
+        jsonio.family_to_dict(fam)
+        values += [v for c in fam.members for v in (c.double, c.spec.base, c.spec.ideal)]
+    assert len(values) > 10
+    for v in values:
+        assert "_listed" not in vars(v), v
 
 
 # -- bitmask invariants against the definitions --------------------------------
