@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .duplication import DuplicationSpec, duplicate, duplication_frobenius, half, sum_violation
+from .duplication import DuplicationSpec, duplicate, duplication_frobenius, half
 from .errors import BoundTooLarge, BoundTooSmall, HypothesisViolated, IsNaturals, NotAlmostSymmetric
 from .ideals import (
     RelativeIdeal,
@@ -30,6 +30,7 @@ from .semigroup import (
     ClassificationReport,
     NumericalSemigroup,
     _almost_symmetric_by_definition,
+    _pf_type,
     _symmetry_class,
     _UpSet,
     classify,
@@ -279,7 +280,6 @@ def _mask_order(u: _UpSet) -> tuple[int, str]:
     return u._c, bin(u._mask)[:1:-1].translate(_AS_LIST)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal, ...]:
     """All relative ideals of ``s`` with smallest element 0 and Frobenius ``fe``.
 
@@ -324,16 +324,18 @@ def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
     """
     # every offset b >= 1 meets 2 f(E) + b >= -1, since f(E) >= -1
     return _specs(s, -1, max_frobenius, lambda fe: ideals_with_frobenius(s, fe),
-                  lambda s, e: lambda b: sum_violation(s, e, b) is None)
+                  lambda s, e: _sum_offsets(s, e).__contains__)
 
 
 def _certificate(t: NumericalSemigroup, spec: DuplicationSpec, kind: str) -> DoubleCertificate:
     """The certificate of ``t``, the duplication of ``spec``, as a double of ``kind``.
 
-    The type and class are read from the masks: no gap tuple per member.
+    The type and class are read from the masks, each read once: no gap
+    tuple per member.
     """
-    return DoubleCertificate(t, spec, kind, t.type,
-                             _symmetry_class(t, _almost_symmetric_by_definition(t)))
+    pf, ell = t._pf_mask, t._second_type_mask
+    almost = _almost_symmetric_by_definition(t, pf, ell)
+    return DoubleCertificate(t, spec, kind, _pf_type(pf), _symmetry_class(t.frobenius, ell, almost))
 
 
 def _family(base: NumericalSemigroup, specs, kind: str, exhaustive: bool) -> DoubleFamily:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, lt
 from typing import Iterable, Optional
 
 from .errors import AmbientMismatch, BoundTooLarge, NotAnIdeal
@@ -55,7 +55,7 @@ class RelativeIdeal(_UpSet):
     def __init__(self, ambient: NumericalSemigroup, elements_below: Iterable[int],
                  ideal_conductor: int):
         elems, c = tuple(elements_below), ideal_conductor
-        if any(a >= b for a, b in zip(elems, elems[1:])):
+        if not all(map(lt, elems, elems[1:])):
             raise ValueError("ideal elements must be strictly increasing")
         if elems:
             if elems[-1] == c - 1:

@@ -47,7 +47,7 @@ def _field(d, key: str, kind: type):
 def _ints(d, key: str) -> list:
     """``d[key]`` as a list of integers, or SemigroupError."""
     value = _field(d, key, list)
-    if any(type(x) is not int for x in value):
+    if not set(map(type, value)) <= {int}:
         raise SemigroupError(f"malformed JSON: {key!r} must list integers, got {value!r}")
     return value
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from heapq import heappop, heappush
 from itertools import compress
-from operator import attrgetter
+from operator import attrgetter, lt
 from typing import Iterable
 
 from .errors import (
@@ -124,6 +124,20 @@ def _reverse(mask: int, width: int) -> int:
     return int(bin(mask)[2:].zfill(width)[::-1], 2)
 
 
+def _pf_numbers(pf: int) -> tuple[int, ...]:
+    """The pseudo-Frobenius numbers of the PF mask ``pf``, ascending.
+
+    Here and in ``_pf_type`` the mask is 0 only for the naturals (any other
+    semigroup has its Frobenius number in it), which get PF = (-1,), type 1.
+    """
+    return _bits(pf) if pf else (-1,)
+
+
+def _pf_type(pf: int) -> int:
+    """The type: the pseudo-Frobenius numbers of the PF mask ``pf``, counted."""
+    return pf.bit_count() or 1
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class _UpSet:
     """A set of integers, bounded below, that holds every integer from its conductor on.
@@ -209,7 +223,7 @@ class NumericalSemigroup(_UpSet):
                 raise ValueError("elements must be nonnegative")
             if not elems or elems[0] != 0:
                 raise MissingZero("a numerical semigroup must contain 0")
-            if any(a >= b for a, b in zip(elems, elems[1:])):
+            if not all(map(lt, elems, elems[1:])):
                 raise ValueError("small elements must be strictly increasing")
             if elems[-1] == c - 1:
                 raise FrobeniusInSet(
@@ -285,31 +299,29 @@ class NumericalSemigroup(_UpSet):
     @property
     def multiplicity(self) -> int:
         """Smallest nonzero element."""
-        if self.is_naturals:
-            return 1
-        nonzero = self._mask & ~1
-        return (nonzero & -nonzero).bit_length() - 1 if nonzero else self._c
+        nonzero = self._mask & ~1  # none for the naturals (c = 0), whose m is 1
+        return (nonzero & -nonzero).bit_length() - 1 if nonzero else max(self._c, 1)
 
     @property
     def _gap_mask(self) -> int:
         return self._mask ^ ((1 << self._c) - 1)
 
-    @cached_property
+    @property
     def gaps(self) -> tuple[int, ...]:
         """Ascending complement within the naturals."""
         return _bits(self._gap_mask)
 
-    @cached_property
+    @property
     def _second_type_mask(self) -> int:
         gaps = self._gap_mask
         return gaps & _reverse(gaps, self._c)
 
-    @cached_property
+    @property
     def second_type_gaps(self) -> tuple[int, ...]:
         """Gaps s whose reflection frobenius - s is also a gap."""
         return _bits(self._second_type_mask)
 
-    @cached_property
+    @property
     def _pf_mask(self) -> int:
         # x + s in S for every nonzero s in S already follows from x + g in S
         # for every minimal generator g, and for a gap x it holds outright
@@ -323,17 +335,15 @@ class NumericalSemigroup(_UpSet):
             pf &= members >> g
         return pf
 
-    @cached_property
+    @property
     def pseudo_frobenius(self) -> tuple[int, ...]:
         """Ascending list of x not in S with x + s in S for every nonzero s in S."""
-        if self.is_naturals:
-            return (-1,)
-        return _bits(self._pf_mask)
+        return _pf_numbers(self._pf_mask)
 
     @property
     def type(self) -> int:
         """Number of pseudo-Frobenius numbers, counted without listing them."""
-        return 1 if self.is_naturals else self._pf_mask.bit_count()
+        return _pf_type(self._pf_mask)
 
     @cached_property
     def minimal_generators(self) -> tuple[int, ...]:
@@ -390,11 +400,11 @@ class ClassificationReport:
         return self.symmetry_class == PSEUDO_SYMMETRIC
 
 
-def _almost_symmetric_by_definition(s: NumericalSemigroup) -> bool:
-    return s._second_type_mask & ~s._pf_mask == 0
+def _almost_symmetric_by_definition(s: NumericalSemigroup, pf: int, ell: int) -> bool:
+    return ell & ~pf == 0
 
 
-def _almost_symmetric_by_reflection(s: NumericalSemigroup) -> bool:
+def _almost_symmetric_by_reflection(s: NumericalSemigroup, pf: int, ell: int) -> bool:
     # x in S  <=>  f - x not in S union PF(S), for every nonzero integer x.
     # Outside [1, f] both sides agree: for x < 0, x is not in S while f - x
     # > f is; for x > f, x is in S while f - x < 0 is neither in S nor in
@@ -403,16 +413,16 @@ def _almost_symmetric_by_reflection(s: NumericalSemigroup) -> bool:
     # image of S union PF(S) on [0, f], so S and that mirror image must
     # split [1, f] between them.
     c = s.conductor
-    mirror = _reverse(s._mask | s._pf_mask, c)
+    mirror = _reverse(s._mask | pf, c)
     window = ((1 << c) - 1) & ~1
     return (s._mask ^ mirror) & window == window
 
 
-def _almost_symmetric_by_pairing(s: NumericalSemigroup) -> bool:
-    # with PF = {f_1 < ... < f_{t-1} < f}: f_i + f_{t-i} == f for all i
-    pf = s.pseudo_frobenius
-    f, t = s.frobenius, len(pf)
-    return all(pf[i] + pf[t - 2 - i] == f for i in range(t - 1))
+def _almost_symmetric_by_pairing(s: NumericalSemigroup, pf: int, ell: int) -> bool:
+    # with PF = {f_1 < ... < f_{t-1} < f}: f_i + f_{t-i} == f for all i, that
+    # is, the mirror x -> f - x on [0, f] maps PF \ {f} onto itself, and so
+    # PF | {0}, as 0 and f pair up.  The naturals (PF mask 0) pass.
+    return not pf or _reverse(pf | 1, s.conductor) == pf | 1
 
 
 _CRITERIA = {
@@ -437,7 +447,8 @@ def classify(s: NumericalSemigroup, method: str = "all") -> ClassificationReport
     if method not in CLASSIFY_METHODS:
         raise ValueError(f"method must be one of {CLASSIFY_METHODS}, got {method!r}")
     names = list(_CRITERIA) if method == "all" else [method]
-    results = {name: _CRITERIA[name](s) for name in names}
+    pf, ell = s._pf_mask, s._second_type_mask
+    results = {name: _CRITERIA[name](s, pf, ell) for name in names}
     if len(set(results.values())) != 1:
         raise RuntimeError(f"almost-symmetry criteria disagree on {s}: {results}")
     almost = results[names[0]]
@@ -445,19 +456,19 @@ def classify(s: NumericalSemigroup, method: str = "all") -> ClassificationReport
     return ClassificationReport(
         frobenius=s.frobenius,
         gaps=s.gaps,
-        second_type_gaps=s.second_type_gaps,
-        pseudo_frobenius=s.pseudo_frobenius,
-        type=s.type,
-        symmetry_class=_symmetry_class(s, almost),
+        second_type_gaps=_bits(ell),
+        pseudo_frobenius=_pf_numbers(pf),
+        type=_pf_type(pf),
+        symmetry_class=_symmetry_class(s.frobenius, ell, almost),
     )
 
 
-def _symmetry_class(s: NumericalSemigroup, almost: bool) -> str:
-    """The symmetry class of ``s``, almost symmetric or not as ``almost`` says.
+def _symmetry_class(f: int, ell: int, almost: bool) -> str:
+    """The symmetry class of a semigroup, almost symmetric or not as ``almost`` says.
 
-    Read from the second-type gap mask, without listing any gap.
+    Read from its Frobenius number ``f`` and second-type gap mask ``ell``,
+    without listing any gap.
     """
-    f, ell = s.frobenius, s._second_type_mask
     if not ell:
         return SYMMETRIC
     if f % 2 == 0 and ell == 1 << (f // 2):

@@ -382,8 +382,9 @@ def test_certificates_are_consistent():
         for fam in (enumerate_even_doubles(s), enumerate_odd_doubles(s, 2 * f + 9),
                     enumerate_symmetric_doubles(s, 2 * f + 41)):
             for cert in fam.members:
-                # the type is counted from the mask: no PF tuple per member
-                assert "pseudo_frobenius" not in vars(cert.double), cert
+                # the type and class are read from the masks, and no
+                # invariant but the minimal generators is kept on a member
+                assert set(vars(cert.double)) <= {"_lo", "_mask", "_c", "minimal_generators"}, cert
                 rep = classify(cert.double)
                 assert (cert.type, cert.symmetry_class) == (rep.type, rep.symmetry_class), cert
                 members += 1

@@ -124,6 +124,7 @@ def _malformed_cases():
         # almost symmetric, but of even type 2
         (jsonio.family_from_dict, {**family, "members": [
             {**first, "class": "odd-almost-symmetric"}]}),
+        (jsonio.semigroup_from_dict, {"small": [0, True]}),
     ]
 
 

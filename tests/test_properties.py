@@ -273,7 +273,7 @@ def test_every_cache_is_bounded():
             if hasattr(fn, "cache_parameters") and fn.__module__ == module.__name__:
                 cached.add(name)
                 assert fn.cache_parameters()["maxsize"] is not None, name
-    assert {"classify", "canonical_ideal", "ideals_with_frobenius", "_base_context"} <= cached
+    assert {"classify", "canonical_ideal", "_base_context"} <= cached
 
 
 def _canonical_form(members, hi):
