@@ -71,16 +71,25 @@ def _ideal(args, ambient):
     return relative_ideal(ambient, args.ideal, args.ideal_conductor)
 
 
-def _emit(args, data: Callable[[], dict], human: Callable[[], Iterable[str]]) -> None:
-    """Print ``data()`` as one line of JSON under --json, else the lines of ``human()``.
+def _emit(args, text: Callable[[], Iterable[str]], human: Callable[[], Iterable[str]]) -> None:
+    """Under --json, write the chunks of ``text()`` as one line; else print the lines of ``human()``.
 
-    Only the output asked for is built.
+    Only the output asked for is built, and each chunk or line is written as
+    soon as it is produced.
     """
     if args.json:
-        print(json.dumps(data(), sort_keys=True))
+        write = sys.stdout.write
+        for chunk in text():
+            write(chunk)
+        write("\n")
     else:
         for line in human():
             print(line)
+
+
+def _json(data: dict) -> tuple[str]:
+    """``data`` as compact, key-sorted JSON text, in one chunk."""
+    return (json.dumps(data, sort_keys=True),)
 
 
 def _fmt_ints(xs) -> str:
@@ -92,7 +101,7 @@ def _fmt_ints(xs) -> str:
 
 def _cmd_info(args) -> int:
     s = _semigroup(args)
-    _emit(args, lambda: {
+    _emit(args, lambda: _json({
         "semigroup": jsonio.semigroup_to_dict(s),
         "minimal_generators": list(s.minimal_generators),
         "frobenius": s.frobenius,
@@ -100,7 +109,7 @@ def _cmd_info(args) -> int:
         "gaps": list(s.gaps),
         "pseudo_frobenius": list(s.pseudo_frobenius),
         "type": s.type,
-    }, lambda: [
+    }), lambda: [
         f"semigroup           {s}",
         f"minimal generators  {_fmt_ints(s.minimal_generators)}",
         f"frobenius           {s.frobenius}",
@@ -115,10 +124,10 @@ def _cmd_info(args) -> int:
 def _cmd_classify(args) -> int:
     s = _semigroup(args)
     report = classify(s, args.method)
-    _emit(args, lambda: {
+    _emit(args, lambda: _json({
         "semigroup": jsonio.semigroup_to_dict(s),
         "report": jsonio.report_to_dict(report),
-    }, lambda: [
+    }), lambda: [
         f"semigroup           {s}",
         f"symmetry class      {report.symmetry_class}",
         f"almost symmetric    {'yes' if report.almost_symmetric else 'no'}",
@@ -135,11 +144,11 @@ def _cmd_double(args) -> int:
     spec = DuplicationSpec(s, _ideal(args, s), args.b)
     t = duplicate(spec)
     report = classify(t)
-    _emit(args, lambda: {
+    _emit(args, lambda: _json({
         "spec": jsonio.spec_to_dict(spec),
         "double": jsonio.semigroup_to_dict(t),
         "report": jsonio.report_to_dict(report),
-    }, lambda: [
+    }), lambda: [
         f"base                {s}",
         f"ideal               {spec.ideal}",
         f"offset              {spec.odd_offset}",
@@ -153,7 +162,7 @@ def _cmd_double(args) -> int:
 def _cmd_half(args) -> int:
     t = _semigroup(args)
     s = half(t)
-    _emit(args, lambda: {"semigroup": jsonio.semigroup_to_dict(s)},
+    _emit(args, lambda: _json({"semigroup": jsonio.semigroup_to_dict(s)}),
           lambda: [f"half                {s}"])
     return 0
 
@@ -161,7 +170,7 @@ def _cmd_half(args) -> int:
 def _cmd_decompose(args) -> int:
     t = _semigroup(args)
     spec = decompose(t, args.b)
-    _emit(args, lambda: {"spec": jsonio.spec_to_dict(spec)}, lambda: [
+    _emit(args, lambda: _json({"spec": jsonio.spec_to_dict(spec)}), lambda: [
         f"double              {t}",
         f"half                {spec.base}",
         f"ideal               {spec.ideal}",
@@ -188,7 +197,7 @@ def _cmd_enumerate(args) -> int:
             f"  {cert.symmetry_class} (type {cert.type})"
             f"  via b={cert.spec.odd_offset}, E={cert.spec.ideal}"
             for cert in fam.members)
-    _emit(args, lambda: jsonio.family_to_dict(fam), lambda: chain(header, rows))
+    _emit(args, lambda: jsonio.family_json_chunks(fam), lambda: chain(header, rows))
     return 0
 
 
@@ -197,11 +206,11 @@ def _cmd_witness(args) -> int:
     spec = doubles_mod.witness_even_double(s)
     t = duplicate(spec)
     report = classify(t)
-    _emit(args, lambda: {
+    _emit(args, lambda: _json({
         "spec": jsonio.spec_to_dict(spec),
         "double": jsonio.semigroup_to_dict(t),
         "report": jsonio.report_to_dict(report),
-    }, lambda: [
+    }), lambda: [
         f"base                {s}",
         f"offset              {spec.odd_offset}",
         f"ideal               {spec.ideal}",
@@ -251,9 +260,10 @@ def _check_ideal_duality(max_frobenius, rng):
         pool = [e for fe in (-1, *s.gaps) for e in doubles_mod.ideals_with_frobenius(s, fe)]
         for e in rng.sample(pool, min(len(pool), 8)):
             n += 1
-            if e.reflection_dual() != (k - e):
+            dual = k - e
+            if e.reflection_dual() != dual:
                 return n, False, f"dual mismatch for {e} over {s}"
-            if (k - (k - e)) != e:
+            if (k - dual) != e:
                 return n, False, f"double dual failed for {e} over {s}"
     return n, True, ""
 

@@ -9,6 +9,9 @@ report     all ClassificationReport fields
 family     {"base": semigroup, "exhaustive": bool,
             "members": [{"t": semigroup, "spec": spec, "class": str, "type": int}]}
 
+``family_json_chunks`` writes the encoded text of a family one member at a
+time, without building the dict.
+
 The decoders raise :class:`SemigroupError` on malformed input: a value that
 is not an object, a missing key, or a field of the wrong JSON type.  A
 family member must also be the duplication of its spec, over the family's
@@ -18,11 +21,21 @@ type must be the member's.
 
 from __future__ import annotations
 
+from itertools import compress
+from json.encoder import encode_basestring_ascii
+from typing import Iterator
+
 from .doubles import KIND_EVEN, KIND_ODD, KIND_SYMMETRIC, DoubleFamily, _certificate
 from .duplication import DuplicationSpec, duplicate
 from .errors import SemigroupError
 from .ideals import RelativeIdeal, relative_ideal
-from .semigroup import NOT_ALMOST_SYMMETRIC, SYMMETRIC, ClassificationReport, NumericalSemigroup
+from .semigroup import (
+    NOT_ALMOST_SYMMETRIC,
+    SYMMETRIC,
+    ClassificationReport,
+    NumericalSemigroup,
+    _flags,
+)
 
 # Python types of the decoded JSON values.  Fields are tested by exact type,
 # since bool is a subclass of int.
@@ -130,6 +143,47 @@ def family_to_dict(fam: DoubleFamily) -> dict:
             for cert in fam.members
         ],
     }
+
+
+def family_json_chunks(fam: DoubleFamily) -> Iterator[str]:
+    """The text of ``json.dumps(family_to_dict(fam), sort_keys=True)``, in chunks.
+
+    A header, then one chunk per member, then the closing ``]}``.  Each
+    integer list is read from its set's mask through one table of decimal
+    strings, built per family and spanning every listed integer, so no list
+    of ints is built.  The base's text is formatted once and reused.
+    """
+    s, certs = fam.base, fam.members
+    lo = min([0, *(c.spec.ideal._lo for c in certs)])
+    hi = max([s._c, *(c.double._c for c in certs), *(c.spec.ideal._c for c in certs)])
+    table = list(map(str, range(lo, hi)))
+
+    def ints(u) -> str:
+        flags = _flags(u._mask)
+        start = u._lo - lo
+        return "[" + ", ".join(compress(table[start:start + len(flags)], flags)) + "]"
+
+    def semigroup(t: NumericalSemigroup) -> str:
+        return f'{{"conductor": {t._c}, "small": {ints(t)}}}'
+
+    # a spec's base and its ideal's ambient are the family's base in every
+    # family the enumerators or family_from_dict build
+    def over(t: NumericalSemigroup) -> str:
+        return base if t == s else semigroup(t)
+
+    base = semigroup(s)
+    yield (f'{{"base": {base}, "exhaustive": {"true" if fam.exhaustive else "false"}, '
+           f'"members": [')
+    sep = ""
+    for c in certs:
+        spec, e = c.spec, c.spec.ideal
+        yield (f'{sep}{{"class": {encode_basestring_ascii(c.kind)}, '
+               f'"spec": {{"b": {spec.odd_offset}, '
+               f'"e": {{"ambient": {over(e.ambient)}, "conductor": {e._c}, '
+               f'"elements": {ints(e)}}}, "s": {over(spec.base)}}}, '
+               f'"t": {semigroup(c.double)}, "type": {c.type}}}')
+        sep = ", "
+    yield "]}"
 
 
 def family_from_dict(d: dict) -> DoubleFamily:

@@ -59,9 +59,14 @@ def _check_conductor(c: int) -> None:
         raise BoundTooLarge(f"conductor {c} exceeds the limit {CONDUCTOR_LIMIT}")
 
 
+def _flags(mask: int) -> bytes:
+    """Byte i is 1 where bit i of a nonnegative ``mask`` is set, else 0; for compress()."""
+    return bin(mask)[:1:-1].encode("ascii").translate(_DIGIT_TO_FLAG)
+
+
 def _bits(mask: int, start: int = 0) -> tuple[int, ...]:
     """Ascending ``start + i`` for the set bits i of a nonnegative ``mask``."""
-    flags = bin(mask)[:1:-1].encode("ascii").translate(_DIGIT_TO_FLAG)
+    flags = _flags(mask)
     return tuple(compress(range(start, start + len(flags)), flags))
 
 

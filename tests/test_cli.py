@@ -1,8 +1,15 @@
 import json
+import sys
+import tracemalloc
 
 import pytest
 
-from sgdouble import classify, enumerate_even_doubles, enumerate_odd_doubles
+from sgdouble import (
+    classify,
+    enumerate_even_doubles,
+    enumerate_odd_doubles,
+    enumerate_symmetric_doubles,
+)
 from sgdouble.cli import main
 from sgdouble import jsonio
 
@@ -114,11 +121,39 @@ def test_enumerate_odd(capsys):
 
 
 def test_enumerate_json_is_one_compact_sorted_line(capsys):
-    code, out, _ = run(capsys, "enumerate-doubles", "--gens", "3,5,7",
-                       "--parity", "odd", "--max-frobenius", "15", "--json")
+    for parity, fam in (("even", enumerate_even_doubles(S1)),
+                        ("odd", enumerate_odd_doubles(S1, 15)),
+                        ("symmetric", enumerate_symmetric_doubles(S1, 15))):
+        code, out, _ = run(capsys, "enumerate-doubles", "--gens", "3,5,7",
+                           "--parity", parity, "--max-frobenius", "15", "--json")
+        assert code == 0
+        assert fam.members
+        assert out == json.dumps(jsonio.family_to_dict(fam), sort_keys=True) + "\n"
+
+
+class _Discard:
+    """A stdout that keeps nothing of what is written to it."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_enumerate_json_streams_in_bounded_memory(monkeypatch):
+    # 1,495 members and 6.4 MB of text, written one member at a time: no
+    # dict or int list of the whole family is built, nor the whole text
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        code = main(["enumerate-doubles", "--gens", "3,5,7", "--parity", "symmetric",
+                     "--max-frobenius", "3000", "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 0
-    fam = enumerate_odd_doubles(S1, 15)
-    assert out == json.dumps(jsonio.family_to_dict(fam), sort_keys=True) + "\n"
+    assert peak < 8 * 2**20, peak
 
 
 def test_enumerate_requires_bound_for_odd(capsys):

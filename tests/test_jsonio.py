@@ -3,13 +3,17 @@ import json
 import pytest
 
 from sgdouble import (
+    DoubleFamily,
     DuplicationSpec,
+    NumericalSemigroup,
     classify,
     enumerate_even_doubles,
+    enumerate_odd_doubles,
     enumerate_symmetric_doubles,
     naturals_ideal,
 )
-from sgdouble import jsonio
+from sgdouble import jsonio, oracle
+from sgdouble.duplication import decompose
 from sgdouble.errors import SemigroupError, SumNotInS
 
 from cases import E1, E2, F2, K1, S1, S2, T1
@@ -70,6 +74,52 @@ def test_family_decoding_leaves_the_classify_memo_alone():
     classify.cache_clear()
     assert jsonio.family_from_dict(d) == fam
     assert classify.cache_info().currsize == 0
+
+
+def written(fam):
+    return "".join(jsonio.family_json_chunks(fam))
+
+
+def test_family_writer_matches_json_dumps():
+    # every family of the 58 semigroups with f <= 9, the naturals included
+    n = 0
+    for f in (-1, *range(1, 10)):
+        for s in oracle.enum_semigroups_with_frobenius(f):
+            fs = s.frobenius
+            for fam in (enumerate_even_doubles(s), enumerate_odd_doubles(s, 2 * fs + 9),
+                        enumerate_symmetric_doubles(s, 2 * fs + 41)):
+                n += 1
+                assert written(fam) == json.dumps(jsonio.family_to_dict(fam), sort_keys=True)
+    assert n == 3 * 58
+
+
+def test_family_writer_chunks_members_one_at_a_time():
+    fam = enumerate_symmetric_doubles(S1, 60)
+    chunks = list(jsonio.family_json_chunks(fam))
+    assert len(chunks) == len(fam.members) + 2
+    assert chunks[-1] == "]}"
+    assert [json.loads(c.removeprefix(", ")) for c in chunks[1:-1]] == \
+        jsonio.family_to_dict(fam)["members"]
+    empty = enumerate_even_doubles(NumericalSemigroup.from_generators([5, 6, 7]))
+    assert empty.members == ()
+    assert written(empty) == json.dumps(jsonio.family_to_dict(empty), sort_keys=True)
+    # the base's text stands for a spec's base only where the two are equal
+    mixed = DoubleFamily(S2, fam.members, True)
+    assert written(mixed) == json.dumps(jsonio.family_to_dict(mixed), sort_keys=True)
+
+
+def test_family_writer_reaches_below_zero():
+    # b = 7 lies above the double's least odd member 3, so the decomposed
+    # ideal starts at -2: the writer's decimal table must start there too
+    cert = enumerate_symmetric_doubles(S1, 11).members[0]
+    spec = decompose(cert.double, 7)
+    assert spec.ideal.elements_below == (-2, 0, 1)
+    member = {**jsonio.family_to_dict(enumerate_symmetric_doubles(S1, 11))["members"][0],
+              "spec": jsonio.spec_to_dict(spec)}
+    fam = jsonio.family_from_dict(through_json({
+        "base": jsonio.semigroup_to_dict(S1), "exhaustive": False, "members": [member]}))
+    assert written(fam) == json.dumps(jsonio.family_to_dict(fam), sort_keys=True)
+    assert '"elements": [-2, 0, 1]' in written(fam)
 
 
 def test_decoders_validate_the_sum_condition():
