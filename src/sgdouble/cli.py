@@ -31,7 +31,7 @@ from .duplication import (
 )
 from .errors import SemigroupError
 from .ideals import canonical_ideal, maximal_ideal, relative_ideal
-from .semigroup import CLASSIFY_METHODS, NumericalSemigroup, classify
+from .semigroup import NumericalSemigroup, classify
 
 
 class UsageError(Exception):
@@ -123,7 +123,7 @@ def _cmd_info(args) -> int:
 
 def _cmd_classify(args) -> int:
     s = _semigroup(args)
-    report = classify(s, args.method)
+    report = classify(s)
     _emit(args, lambda: _json({
         "semigroup": jsonio.semigroup_to_dict(s),
         "report": jsonio.report_to_dict(report),
@@ -223,17 +223,11 @@ def _cmd_witness(args) -> int:
 # -- verify ---------------------------------------------------------------------
 
 
-def _all_semigroups(max_frobenius: int):
-    yield from oracle.enum_semigroups_with_frobenius(-1)
-    for f in range(1, max_frobenius + 1):
-        yield from oracle.enum_semigroups_with_frobenius(f)
-
-
-def _check_classifiers(max_frobenius, rng):
+def _check_classifiers(census, rng):
     n = 0
-    for s in _all_semigroups(max_frobenius):
+    for s in census:
         n += 1
-        mine = classify(s, "all")
+        mine = classify(s)
         ref = oracle.brute_classify(s)
         if mine != ref:
             return n, False, f"classifier mismatch on {s}"
@@ -246,9 +240,9 @@ def _check_classifiers(max_frobenius, rng):
     return n, True, ""
 
 
-def _check_ideal_duality(max_frobenius, rng):
+def _check_ideal_duality(census, rng):
     n = 0
-    for s in _all_semigroups(max_frobenius):
+    for s in census:
         m = maximal_ideal(s)
         k = canonical_ideal(s)
         # union with the definitional PF set, which is empty for the naturals
@@ -268,9 +262,9 @@ def _check_ideal_duality(max_frobenius, rng):
     return n, True, ""
 
 
-def _check_duplication(max_frobenius, rng):
+def _check_duplication(census, rng):
     n = 0
-    for t in _all_semigroups(max_frobenius):
+    for t in census:
         for b in range(1, t.frobenius + 3, 2):
             if (2 * b) not in t:
                 continue
@@ -288,9 +282,9 @@ def _check_duplication(max_frobenius, rng):
     return n, True, ""
 
 
-def _check_theorems(max_frobenius, rng):
+def _check_theorems(census, rng):
     n = 0
-    for s in _all_semigroups(max_frobenius):
+    for s in census:
         f = s.frobenius
         for spec in doubles_mod.candidate_specs(s, 2 * f + 5):
             n += 1
@@ -306,9 +300,9 @@ def _check_theorems(max_frobenius, rng):
     return n, True, ""
 
 
-def _check_families(max_frobenius, rng):
+def _check_families(census, rng):
     n = 0
-    for s in _all_semigroups(max_frobenius):
+    for s in census:
         n += 1
         f = s.frobenius
         even = [c.double for c in doubles_mod.enumerate_even_doubles(s).members]
@@ -328,8 +322,9 @@ def _check_families(max_frobenius, rng):
     return n, True, ""
 
 
-#: (name, check, cap): each check runs at min(--max-frobenius, cap), and
-#: verify names every capped check on stderr.
+#: (name, check, cap): each check runs on the semigroups with f at most
+#: min(--max-frobenius, cap), in order of f, and verify names every capped
+#: check on stderr.
 _VERIFY_CHECKS = [
     ("classifier-agreement", _check_classifiers, 12),
     ("ideal-duality", _check_ideal_duality, 9),
@@ -343,12 +338,15 @@ def _cmd_verify(args) -> int:
     if args.max_frobenius < 1:
         raise UsageError(f"--max-frobenius must be at least 1, got {args.max_frobenius}")
     rng = random.Random(args.seed)
+    top = min(args.max_frobenius, max(cap for _, _, cap in _VERIFY_CHECKS))
+    census = [s for f in (-1, *range(1, top + 1)) for s in oracle.enum_semigroups_with_frobenius(f)]
     results = []
     ok_all = True
     for name, fn, cap in _VERIFY_CHECKS:
         if args.max_frobenius > cap:
             print(f"note: {name} runs at --max-frobenius {cap}", file=sys.stderr)
-        cases, ok, detail = fn(min(args.max_frobenius, cap), rng)
+        bound = min(args.max_frobenius, cap)
+        cases, ok, detail = fn([s for s in census if s.frobenius <= bound], rng)
         ok_all &= ok
         results.append({"name": name, "cases": cases, "ok": ok, "detail": detail})
         if not args.json:
@@ -383,7 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("classify", _cmd_classify, "symmetry classification")
     _add_semigroup_args(p)
-    p.add_argument("--method", choices=CLASSIFY_METHODS, default="all")
 
     p = add("double", _cmd_double, "numerical duplication of a semigroup by an ideal")
     _add_semigroup_args(p)

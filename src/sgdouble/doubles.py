@@ -29,7 +29,6 @@ from .semigroup import (
     CONDUCTOR_LIMIT,
     ClassificationReport,
     NumericalSemigroup,
-    _almost_symmetric_by_definition,
     _pf_type,
     _symmetry_class,
     _UpSet,
@@ -334,8 +333,7 @@ def _certificate(t: NumericalSemigroup, spec: DuplicationSpec, kind: str) -> Dou
     tuple per member.
     """
     pf, ell = t._pf_mask, t._second_type_mask
-    almost = _almost_symmetric_by_definition(t, pf, ell)
-    return DoubleCertificate(t, spec, kind, _pf_type(pf), _symmetry_class(t.frobenius, ell, almost))
+    return DoubleCertificate(t, spec, kind, _pf_type(pf), _symmetry_class(t.frobenius, pf, ell))
 
 
 def _family(base: NumericalSemigroup, specs, kind: str, exhaustive: bool) -> DoubleFamily:

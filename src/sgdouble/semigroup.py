@@ -38,9 +38,6 @@ PSEUDO_SYMMETRIC = "pseudo-symmetric"
 ALMOST_SYMMETRIC_PROPER = "almost-symmetric-proper"
 NOT_ALMOST_SYMMETRIC = "none"
 
-#: Accepted values for the ``method`` argument of :func:`classify`.
-CLASSIFY_METHODS = ("definition", "reflection", "pairing", "all")
-
 # binary digits "0"/"1" to the bytes 0/1, so that they select in compress()
 _DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -405,10 +402,8 @@ class ClassificationReport:
         return self.symmetry_class == PSEUDO_SYMMETRIC
 
 
-def _almost_symmetric_by_definition(s: NumericalSemigroup, pf: int, ell: int) -> bool:
-    return ell & ~pf == 0
-
-
+# Two more characterizations of almost symmetry, equivalent to the definition
+# that _symmetry_class tests: the reference implementations the tests hold it to.
 def _almost_symmetric_by_reflection(s: NumericalSemigroup, pf: int, ell: int) -> bool:
     # x in S  <=>  f - x not in S union PF(S), for every nonzero integer x.
     # Outside [1, f] both sides agree: for x < 0, x is not in S while f - x
@@ -430,52 +425,33 @@ def _almost_symmetric_by_pairing(s: NumericalSemigroup, pf: int, ell: int) -> bo
     return not pf or _reverse(pf | 1, s.conductor) == pf | 1
 
 
-_CRITERIA = {
-    "definition": _almost_symmetric_by_definition,
-    "reflection": _almost_symmetric_by_reflection,
-    "pairing": _almost_symmetric_by_pairing,
-}
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
-def classify(s: NumericalSemigroup, method: str = "all") -> ClassificationReport:
+def classify(s: NumericalSemigroup) -> ClassificationReport:
     """Full symmetry report for ``s``.
 
-    ``method`` selects how almost symmetry is decided: "definition" (second
-    type gaps contained in the pseudo-Frobenius set), "reflection" (the
-    membership biconditional x in S <=> f - x outside S and PF), "pairing"
-    (pseudo-Frobenius numbers pair up to f), or "all".  With "all", the three
-    criteria are evaluated together and a disagreement raises RuntimeError:
-    they are provably equivalent, so disagreement is an internal bug, never a
-    property of the input.
+    Almost symmetry is decided by its definition, L(S) inside PF(S); the
+    tests hold the reflection and pairing characterizations equal to it.
     """
-    if method not in CLASSIFY_METHODS:
-        raise ValueError(f"method must be one of {CLASSIFY_METHODS}, got {method!r}")
-    names = list(_CRITERIA) if method == "all" else [method]
     pf, ell = s._pf_mask, s._second_type_mask
-    results = {name: _CRITERIA[name](s, pf, ell) for name in names}
-    if len(set(results.values())) != 1:
-        raise RuntimeError(f"almost-symmetry criteria disagree on {s}: {results}")
-    almost = results[names[0]]
-
     return ClassificationReport(
         frobenius=s.frobenius,
         gaps=s.gaps,
         second_type_gaps=_bits(ell),
         pseudo_frobenius=_pf_numbers(pf),
         type=_pf_type(pf),
-        symmetry_class=_symmetry_class(s.frobenius, ell, almost),
+        symmetry_class=_symmetry_class(s.frobenius, pf, ell),
     )
 
 
-def _symmetry_class(f: int, ell: int, almost: bool) -> str:
-    """The symmetry class of a semigroup, almost symmetric or not as ``almost`` says.
+def _symmetry_class(f: int, pf: int, ell: int) -> str:
+    """The symmetry class of a semigroup.
 
-    Read from its Frobenius number ``f`` and second-type gap mask ``ell``,
-    without listing any gap.
+    Read from its Frobenius number ``f``, PF mask ``pf`` and second-type gap
+    mask ``ell``, without listing any gap: almost symmetric means L(S) is
+    inside PF(S).
     """
     if not ell:
         return SYMMETRIC
     if f % 2 == 0 and ell == 1 << (f // 2):
         return PSEUDO_SYMMETRIC
-    return ALMOST_SYMMETRIC_PROPER if almost else NOT_ALMOST_SYMMETRIC
+    return ALMOST_SYMMETRIC_PROPER if ell & ~pf == 0 else NOT_ALMOST_SYMMETRIC

@@ -8,6 +8,7 @@ decomposition with a proper ideal.
 """
 
 from sgdouble import NumericalSemigroup, naturals_ideal, relative_ideal
+from sgdouble.semigroup import _almost_symmetric_by_pairing, _almost_symmetric_by_reflection
 
 S1 = NumericalSemigroup.from_generators([3, 5, 7])                 # {0, 3, 5->}
 S2 = NumericalSemigroup.from_small_elements([0, 4, 5, 6], 8)       # symmetric
@@ -25,3 +26,14 @@ E3 = relative_ideal(S1, [0], 3)         # {0, 3->}
 E4 = relative_ideal(S1, [0, 1], 3)      # {0, 1, 3->}
 K1 = relative_ideal(S1, [0, 2, 3], 5)   # standard canonical ideal of S1
 F2 = relative_ideal(S2, [2, 3, 4], 6)   # {2, 3, 4, 6->} over S2
+
+
+def criteria(s):
+    """Almost symmetry of ``s`` by the reflection and by the pairing characterization.
+
+    ``classify`` decides it by the definition, L(S) inside PF(S); the tests
+    hold these two reference implementations equal to it.
+    """
+    pf, ell = s._pf_mask, s._second_type_mask
+    return {c.__name__: c(s, pf, ell)
+            for c in (_almost_symmetric_by_reflection, _almost_symmetric_by_pairing)}

@@ -33,7 +33,7 @@ from sgdouble.duplication import sum_violation
 from sgdouble.errors import InvalidB
 from sgdouble.ideals import canonical_ideal, maximal_ideal, unit_ideal
 
-from cases import D1, D2, D3, E1, E2, E3, E4, F2, S1, S2, ST1, T1, T2
+from cases import D1, D2, D3, E1, E2, E3, E4, F2, S1, S2, ST1, T1, T2, criteria
 
 
 @contextlib.contextmanager
@@ -236,13 +236,9 @@ def test_criterion_5_theorem_equivalences():
                 assert even_double_check(spec) == rep.almost_symmetric, spec
 
         for s in _semigroups_up_to(12):
-            answers = {
-                method: classify(s, method).almost_symmetric
-                for method in ("definition", "reflection", "pairing")
-            }
-            assert len(set(answers.values())) == 1, (s, answers)
-            rep = classify(s, "all")
+            rep = classify(s)
             assert rep == oracle.brute_classify(s)
+            assert set(criteria(s).values()) == {rep.almost_symmetric}, (s, criteria(s))
             if rep.almost_symmetric:
                 assert (rep.type % 2) == (rep.frobenius % 2), s
 

@@ -1,16 +1,27 @@
+import contextlib
+import dataclasses
+import io
 import json
+import re
 import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgdouble import (
+    NumericalSemigroup,
+    canonical_ideal,
     classify,
+    duplicate,
     enumerate_even_doubles,
     enumerate_odd_doubles,
     enumerate_symmetric_doubles,
+    maximal_ideal,
+    odd_double_check,
 )
 from sgdouble.cli import main
+from sgdouble.errors import SemigroupError
 from sgdouble import jsonio
 
 from cases import S1, T1
@@ -52,9 +63,12 @@ def test_classify_small_elements_input(capsys):
 
 
 def test_classify_method_flag(capsys):
-    code, data, _ = run_json(capsys, "classify", "--gens", "3,5,7", "--method", "pairing")
-    assert code == 0
-    assert data["report"]["symmetry_class"] == "pseudo-symmetric"
+    # classify decides almost symmetry one way; the flag that chose among
+    # equivalent criteria is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--gens", "3,5,7", "--method", "pairing"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method pairing" in capsys.readouterr().err
 
 
 def test_double(capsys):
@@ -283,14 +297,149 @@ def test_verify_reports_capped_checks_on_stderr(capsys):
     assert out.splitlines()[-1] == "all checks passed"
 
 
+VERIFY_CHECKS = ["classifier-agreement", "ideal-duality", "duplication-roundtrip",
+                 "theorem-checkers", "families-vs-oracle"]
+
+
 def test_verify_json(capsys):
     code, data, _ = run_json(capsys, "verify", "--max-frobenius", "4", "--seed", "7")
     assert code == 0
     assert data["ok"] is True
-    assert {c["name"] for c in data["checks"]} == {
-        "classifier-agreement", "ideal-duality", "duplication-roundtrip",
-        "theorem-checkers", "families-vs-oracle",
-    }
+    assert [c["name"] for c in data["checks"]] == VERIFY_CHECKS
+
+
+def _misreported_type(s):
+    rep = classify(s)
+    return dataclasses.replace(rep, type=rep.type + 1)
+
+
+def _even_family_missing_first(s):
+    fam = enumerate_even_doubles(s)
+    return dataclasses.replace(fam, members=fam.members[1:])
+
+
+@pytest.mark.parametrize("argv, cases", [
+    ((), [58, 427, 210, 410, 16]),
+    (("--max-frobenius", "12"), [171, 427, 210, 410, 16]),
+])
+def test_verify_case_counts(capsys, argv, cases):
+    # one census, read by each check up to its own bound: f <= 9 or 12 for
+    # classifier agreement, 9 for ideal duality and round trips, 6 for the rest
+    code, data, _ = run_json(capsys, "verify", *argv)
+    assert code == 0 and data["ok"] is True
+    assert [(c["name"], c["cases"]) for c in data["checks"]] == list(zip(VERIFY_CHECKS, cases))
+
+
+# each wrong kernel answer is seen by its own check only
+@pytest.mark.parametrize("check, target, wrong", [
+    ("classifier-agreement", "sgdouble.cli.classify", _misreported_type),
+    ("ideal-duality", "sgdouble.cli.maximal_ideal", canonical_ideal),
+    ("duplication-roundtrip", "sgdouble.cli.duplication_canonical_ideal",
+     lambda spec: maximal_ideal(duplicate(spec))),
+    ("theorem-checkers", "sgdouble.doubles.odd_double_check",
+     lambda spec: not odd_double_check(spec)),
+    ("families-vs-oracle", "sgdouble.doubles.enumerate_even_doubles", _even_family_missing_first),
+], ids=VERIFY_CHECKS)
+def test_verify_reports_a_failing_kernel(capsys, monkeypatch, check, target, wrong):
+    monkeypatch.setattr(target, wrong)
+    code, out, err = run(capsys, "verify", "--max-frobenius", "4")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        ("FAIL " if name == check else "ok   ") + name for name in VERIFY_CHECKS
+    ]
+    (failed,) = [line for line in lines if line.startswith("FAIL")]
+    assert re.fullmatch(rf"FAIL {check}: \d+ cases \(.+\)", failed), failed
+    assert "all checks passed" not in out
+
+    code, data, _ = run_json(capsys, "verify", "--max-frobenius", "4")
+    assert code == 1 and data["ok"] is False
+    assert [(c["name"], c["ok"]) for c in data["checks"]] == [
+        (name, name != check) for name in VERIFY_CHECKS
+    ]
+    (record,) = [c for c in data["checks"] if not c["ok"]]
+    assert failed == f"FAIL {check}: {record['cases']} cases ({record['detail']})"
+
+
+# Values past every limit, only where the CLI rejects them before any work.
+_HUGE = st.sampled_from([-10**10, 10**10, 10**10 + 1])
+# two consecutive generators force gcd 1
+_COPRIME_GENS = st.builds(lambda xs, m: xs + [m, m + 1],
+                          st.lists(st.integers(1, 9), max_size=2), st.integers(1, 8))
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for one of the eight subcommands, with bounded work.
+
+    Generators run from 1 to 9 (the largest even walk is about <8,9>),
+    family bounds up to 2f + 60 and verify up to --max-frobenius 3.  Now and
+    then an argument is missing, or the semigroup is given both ways.
+    """
+    def opt(flag, values):
+        if draw(st.integers(0, 5)) == 0:
+            return []
+        return [f"{flag}={draw(values)}"]
+
+    def csv(xs):
+        return ",".join(map(str, xs))
+
+    command = draw(st.sampled_from(["info", "classify", "double", "half", "decompose",
+                                    "enumerate-doubles", "witness-even", "verify"]))
+    argv = [command]
+    if command == "verify":
+        argv += opt("--max-frobenius", st.integers(-2, 3)) + opt("--seed", st.integers(-5, 5))
+    else:
+        gens = draw(_COPRIME_GENS | st.lists(st.integers(1, 9), max_size=4))
+        s = NumericalSemigroup.from_generators(draw(_COPRIME_GENS))
+        if draw(st.booleans()):  # the small elements of a semigroup, or any set
+            small, conductor = list(s.small_elements), s.conductor
+        else:
+            small = draw(st.lists(st.integers(-2, 12), max_size=6))
+            conductor = draw(st.integers(-2, 14) | _HUGE)
+        form = draw(st.sampled_from(["gens", "gens", "gens", "small", "small", "both", "none"]))
+        if form in ("gens", "both"):
+            argv.append(f"--gens={csv(gens)}")
+        if form in ("small", "both"):
+            argv += [f"--small={csv(small)}", f"--conductor={conductor}"]
+        try:  # f of the semigroup named, for the family bound
+            f = (NumericalSemigroup.from_generators(gens) if form == "gens"
+                 else NumericalSemigroup.from_small_elements(small, conductor)).frobenius
+        except (SemigroupError, ValueError):
+            f = 0
+        if command == "double":
+            if draw(st.booleans()):  # a semigroup as an ideal over itself, or any set
+                argv += [f"--ideal={csv(s.small_elements)}", f"--ideal-conductor={s.conductor}"]
+            else:
+                argv += opt("--ideal", st.lists(st.integers(-3, 12) | _HUGE, max_size=4).map(csv))
+                argv += opt("--ideal-conductor", st.integers(-3, 14) | _HUGE)
+            argv += opt("--b", st.integers(-3, 25) | _HUGE)
+        elif command == "decompose":
+            argv += opt("--b", st.integers(-3, 25))
+        elif command == "enumerate-doubles":
+            argv += opt("--parity", st.sampled_from(["even", "odd", "symmetric"]))
+            argv += opt("--max-frobenius", st.integers(-5, 2 * f + 60) | _HUGE)
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=5000)
+@given(cli_argv())
+def test_cli_answers_or_rejects_every_input(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in out + err, argv
+    if code == 1 and "--json" in argv:
+        assert err == "" and set(json.loads(out)) == {"error"}, argv
+    elif code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_negative_ideal_elements_parse(capsys):

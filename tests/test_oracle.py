@@ -4,7 +4,7 @@ from sgdouble import NATURALS, NumericalSemigroup, classify, duplicate, half, wi
 from sgdouble import oracle
 from sgdouble.errors import BoundTooLarge, InvalidFrobenius
 
-from cases import D1, D2, D3, E2, E3, E4, S1, S2
+from cases import D1, D2, D3, E2, E3, E4, S1, S2, criteria
 
 
 def test_census_by_frobenius_number():
@@ -82,7 +82,9 @@ def test_brute_classify_agrees_with_kernel():
         if f == 0:
             continue
         for s in oracle.enum_semigroups_with_frobenius(f):
-            assert oracle.brute_classify(s) == classify(s, "all")
+            ref = oracle.brute_classify(s)
+            assert ref == classify(s)
+            assert set(criteria(s).values()) == {ref.almost_symmetric}, (s, criteria(s))
 
 
 def test_search_outputs_revalidate():

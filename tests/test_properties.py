@@ -32,7 +32,7 @@ from sgdouble.doubles import candidate_specs, ideals_with_frobenius
 from sgdouble.duplication import DuplicationSpec, sum_violation
 from sgdouble.ideals import unit_ideal
 
-from cases import ST1, T1
+from cases import ST1, T1, criteria
 
 
 # two consecutive generators force gcd 1
@@ -62,7 +62,8 @@ def test_pf_inside_second_type_gaps_plus_frobenius(s):
 
 @given(semigroups)
 def test_classification_criteria_agree(s):
-    rep = classify(s, "all")  # raises internally on disagreement
+    rep = classify(s)
+    assert set(criteria(s).values()) == {rep.almost_symmetric}, (s, criteria(s))
     if rep.almost_symmetric:
         assert (rep.type % 2) == (rep.frobenius % 2)
 
@@ -167,11 +168,7 @@ def test_containment_equivalences_under_even_hypotheses():
 
 def test_criterion_equivalence_is_exhaustive_up_to_12():
     for s in _small_semigroups(12):
-        by_method = {
-            method: classify(s, method).almost_symmetric
-            for method in ("definition", "reflection", "pairing")
-        }
-        assert len(set(by_method.values())) == 1, (s, by_method)
+        assert set(criteria(s).values()) == {classify(s).almost_symmetric}, (s, criteria(s))
 
 
 def test_report_type_characterizations():

@@ -25,7 +25,7 @@ from sgdouble.errors import (
 )
 from sgdouble.ideals import RelativeIdeal
 
-from cases import D3, S1, S2, T1, T2
+from cases import D3, S1, S2, T1, T2, criteria
 
 
 class TestFromGenerators:
@@ -191,12 +191,13 @@ def test_minimal_generators():
     assert NumericalSemigroup.from_small_elements([0], 2).minimal_generators == (2, 3)
 
 
-@pytest.mark.parametrize("method", ["definition", "reflection", "pairing", "all"])
+@pytest.mark.parametrize("method", ["reflection", "pairing"])
 def test_classify_methods_agree_on_fixtures(method):
-    assert classify(S1, method).symmetry_class == "pseudo-symmetric"
-    assert classify(D3, method).symmetry_class == "almost-symmetric-proper"
-    assert classify(T2, method).symmetry_class == "none"
-    assert classify(NATURALS, method).symmetry_class == "symmetric"
+    for s, symmetry_class in ((S1, "pseudo-symmetric"), (D3, "almost-symmetric-proper"),
+                              (T2, "none"), (NATURALS, "symmetric")):
+        rep = classify(s)
+        assert rep.symmetry_class == symmetry_class
+        assert criteria(s)[f"_almost_symmetric_by_{method}"] == rep.almost_symmetric, str(s)
 
 
 def test_classify_report_fields():
@@ -210,11 +211,6 @@ def test_classify_report_fields():
 
     assert not classify(T2).almost_symmetric
     assert classify(S2).symmetric
-
-
-def test_classify_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        classify(S1, "magic")
 
 
 def test_str_notation():
@@ -288,8 +284,8 @@ def test_bitmask_invariants_match_definitions(bitmask_cases):
     assert len(bitmask_cases) > 1000
     for s in bitmask_cases:
         ref = oracle.brute_classify(s)
-        for method in ("definition", "reflection", "pairing", "all"):
-            assert classify(s, method) == ref, (str(s), method)
+        assert classify(s) == ref, str(s)
+        assert set(criteria(s).values()) == {ref.almost_symmetric}, (str(s), criteria(s))
         assert s.minimal_generators == _naive_minimal_generators(s), str(s)
 
 
