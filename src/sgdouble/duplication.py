@@ -66,14 +66,27 @@ def sum_violation(s: NumericalSemigroup, e: RelativeIdeal, b: int):
     return _pair_violation(e._window(lo, s.conductor - b - lo), lo, b, s)
 
 
+# Tables for bytes.translate: the ASCII hex digit of each 4-bit d to d with
+# bit x moved to 2x, and each byte to its even bits, bit 2x moved to x.
+_SPREAD_DIGIT = bytes.maketrans(
+    b"0123456789abcdef",
+    bytes(d & 1 | (d & 2) << 1 | (d & 4) << 2 | (d & 8) << 3 for d in range(16)))
+_EVENS = bytes(i & 1 | i >> 1 & 2 | i >> 2 & 4 | i >> 3 & 8 for i in range(256))
+
+
 def _spread(mask: int) -> int:
-    """``mask`` with bit x moved to 2x."""
-    return int("0".join(bin(mask)[2:]), 2)
+    """A nonnegative ``mask`` with bit x moved to 2x."""
+    # each hex digit of the mask, most significant first, becomes a byte
+    return int.from_bytes((b"%x" % mask).translate(_SPREAD_DIGIT), "big")
 
 
 def _unspread(mask: int) -> int:
     """The even bits of a nonnegative ``mask``, bit 2x moved to x: the inverse of _spread."""
-    return int(bin(mask)[:1:-1][::2][::-1], 2)
+    # byte k of the mask gives bits 4k to 4k + 3 of the result, as the one
+    # byte d: in hex "0d", and the digits d, most significant first, are
+    # the result's
+    octets = mask.to_bytes(mask.bit_length() // 8 + 1, "little")
+    return int(octets.translate(_EVENS).hex()[::-2], 16)
 
 
 def duplicate(spec: DuplicationSpec) -> NumericalSemigroup:

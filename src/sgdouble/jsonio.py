@@ -84,8 +84,13 @@ def ideal_to_dict(e: RelativeIdeal) -> dict:
 
 
 def ideal_from_dict(d: dict) -> RelativeIdeal:
+    return _ideal_from_dict(d, semigroup_from_dict)
+
+
+def _ideal_from_dict(d: dict, semigroup) -> RelativeIdeal:
+    """The ideal of ``d``, its ambient decoded by ``semigroup``."""
     return relative_ideal(
-        semigroup_from_dict(_field(d, "ambient", dict)),
+        semigroup(_field(d, "ambient", dict)),
         _ints(d, "elements"),
         _field(d, "conductor", int),
     )
@@ -100,9 +105,14 @@ def spec_to_dict(spec: DuplicationSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> DuplicationSpec:
+    return _spec_from_dict(d, semigroup_from_dict)
+
+
+def _spec_from_dict(d: dict, semigroup) -> DuplicationSpec:
+    """The spec of ``d``, its base and its ideal's ambient decoded by ``semigroup``."""
     return DuplicationSpec(
-        semigroup_from_dict(_field(d, "s", dict)),
-        ideal_from_dict(_field(d, "e", dict)),
+        semigroup(_field(d, "s", dict)),
+        _ideal_from_dict(_field(d, "e", dict), semigroup),
         _field(d, "b", int),
     )
 
@@ -187,10 +197,20 @@ def family_json_chunks(fam: DoubleFamily) -> Iterator[str]:
 
 
 def family_from_dict(d: dict) -> DoubleFamily:
-    base = semigroup_from_dict(_field(d, "base", dict))
+    base_dict = _field(d, "base", dict)
+    base = semigroup_from_dict(base_dict)
+    small, conductor = base_dict["small"], base_dict["conductor"]
+
+    # each member's spec names the base twice: decoded once, here, and
+    # reused wherever a dict lists the same integers
+    def semigroup(x) -> NumericalSemigroup:
+        if _ints(x, "small") == small and _field(x, "conductor", int) == conductor:
+            return base
+        return semigroup_from_dict(x)
+
     members = []
     for m in _field(d, "members", list):
-        spec = spec_from_dict(_field(m, "spec", dict))
+        spec = _spec_from_dict(_field(m, "spec", dict), semigroup)
         t = semigroup_from_dict(_field(m, "t", dict))
         kind = _field(m, "class", str)
         typ = _field(m, "type", int)

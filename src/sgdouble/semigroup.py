@@ -62,9 +62,26 @@ def _flags(mask: int) -> bytes:
 
 
 def _bits(mask: int, start: int = 0) -> tuple[int, ...]:
-    """Ascending ``start + i`` for the set bits i of a nonnegative ``mask``."""
+    """Ascending ``start + i`` for the set bits i of a nonnegative ``mask``.
+
+    One character per bit of the mask: for dense masks.
+    """
     flags = _flags(mask)
     return tuple(compress(range(start, start + len(flags)), flags))
+
+
+def _sparse_bits(mask: int) -> tuple[int, ...]:
+    """The set bits of a nonnegative ``mask``, ascending.
+
+    One word operation per set bit, lowest first: for masks with few set
+    bits in a wide window, where ``_bits`` would spend a character per bit.
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _mask_of(elems, lo: int = 0) -> int:
@@ -121,9 +138,27 @@ def _pair_violation(mem: int, lo: int, shift: int, target: "_UpSet"):
     return None
 
 
+def _mirror_table() -> bytes:
+    """Byte i is i with its 8 bits in reverse order."""
+    table = bytearray(256)
+    for i in range(1, 256):
+        table[i] = table[i >> 1] >> 1 | (i & 1) << 7
+    return bytes(table)
+
+
+_MIRRORED = _mirror_table()
+
+
 def _reverse(mask: int, width: int) -> int:
-    """``mask`` mirrored on [0, width): bit x moves to width - 1 - x."""
-    return int(bin(mask)[2:].zfill(width)[::-1], 2)
+    """``mask`` mirrored on [0, width): bit x moves to width - 1 - x.
+
+    Requires 0 <= mask < 2**width, and raises OverflowError otherwise.
+    """
+    # padded up to whole bytes, the mask mirrors bytewise: each byte's bits
+    # through the table, the byte order by reading the bytes big-endian
+    pad = -width % 8
+    return int.from_bytes(
+        (mask << pad).to_bytes((width + pad) // 8, "little").translate(_MIRRORED), "big")
 
 
 def _pf_numbers(pf: int) -> tuple[int, ...]:
@@ -360,9 +395,10 @@ class NumericalSemigroup(_UpSet):
         apery = members & ~(members << m) & ~1
         sums = 0
         # a sum a + b < hi of members 0 < a <= b has a <= hi // 2
-        for a in _bits(apery & ((1 << (hi // 2 + 1)) - 1)):
+        # at most m members each: listed by their set bits, not bit by bit
+        for a in _sparse_bits(apery & ((1 << (hi // 2 + 1)) - 1)):
             sums |= apery << a
-        return _bits(apery & ~sums | 1 << m)
+        return _sparse_bits(apery & ~sums | 1 << m)
 
 
 #: The full set of nonnegative integers.

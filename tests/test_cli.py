@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import re
@@ -19,6 +20,7 @@ from sgdouble import (
     enumerate_symmetric_doubles,
     maximal_ideal,
     odd_double_check,
+    oracle,
 )
 from sgdouble.cli import main
 from sgdouble.errors import SemigroupError
@@ -187,6 +189,44 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "enumerate-doubles", "--gens", "3,5,7", "--parity", "even")
     _, second, _ = run(capsys, "enumerate-doubles", "--gens", "3,5,7", "--parity", "even")
     assert first == second
+
+
+def _golden_sweep():
+    """argv of a fixed CLI sweep over the 58 S with f <= 9, given by their
+    small elements: each family kind, odd to 2f + 9 and symmetric to
+    2f + 41, then info and classify, each human and --json; then verify."""
+    for f in range(1, 10):
+        for s in oracle.enum_semigroups_with_frobenius(f):
+            given = ["--small", ",".join(map(str, s.small_elements)),
+                     "--conductor", str(s.conductor)]
+            for flag in ([], ["--json"]):
+                yield ["enumerate-doubles", *given, "--parity", "even", *flag]
+                yield ["enumerate-doubles", *given, "--parity", "odd",
+                       "--max-frobenius", str(2 * f + 9), *flag]
+                yield ["enumerate-doubles", *given, "--parity", "symmetric",
+                       "--max-frobenius", str(2 * f + 41), *flag]
+                yield ["info", *given, *flag]
+                yield ["classify", *given, *flag]
+    yield ["verify"]
+    yield ["verify", "--json"]
+
+
+#: SHA-256 of the sweep's argv, stdout, stderr and exit codes.  The CLI
+#: output is byte-stable: a change that alters it announces that and
+#: records the new digest here.
+GOLDEN_SWEEP_SHA256 = "9c2aba48de5a437d22150b626b2888eb6b00d5cf3bebc55f3d4b373f82986e36"
+
+
+def test_golden_cli_sweep(capsys):
+    digest = hashlib.sha256()
+    runs = 0
+    for argv in _golden_sweep():
+        code, out, err = run(capsys, *argv)
+        for part in (" ".join(argv), out, err, str(code)):
+            digest.update(part.encode() + b"\0")
+        runs += 1
+    assert runs == 572
+    assert digest.hexdigest() == GOLDEN_SWEEP_SHA256
 
 
 def test_domain_error_exit_code(capsys):

@@ -76,6 +76,23 @@ def test_family_decoding_leaves_the_classify_memo_alone():
     assert classify.cache_info().currsize == 0
 
 
+def test_family_decoding_validates_the_base_once(monkeypatch):
+    # the base once, then each member T; every spec's s and ideal ambient
+    # list the base's integers and reuse it
+    fam = enumerate_symmetric_doubles(S1, 60)
+    d = through_json(jsonio.family_to_dict(fam))
+    decoded = []
+    real = NumericalSemigroup.from_small_elements.__func__
+
+    def counted(cls, elems, conductor):
+        decoded.append(conductor)
+        return real(cls, elems, conductor)
+
+    monkeypatch.setattr(NumericalSemigroup, "from_small_elements", classmethod(counted))
+    assert jsonio.family_from_dict(d) == fam
+    assert decoded == [S1.conductor, *(c.double.conductor for c in fam.members)]
+
+
 def written(fam):
     return "".join(jsonio.family_json_chunks(fam))
 
@@ -175,6 +192,13 @@ def _malformed_cases():
         (jsonio.family_from_dict, {**family, "members": [
             {**first, "class": "odd-almost-symmetric"}]}),
         (jsonio.semigroup_from_dict, {"small": [0, True]}),
+        # the base, equal as Python values but not as JSON integers, where a
+        # member's spec names it: rejected, not matched to the decoded base
+        (jsonio.family_from_dict, {**family, "members": [
+            {**first, "spec": {**first["spec"], "s": {**sg, "conductor": 5.0}}}]}),
+        (jsonio.family_from_dict, {**family, "members": [
+            {**first, "spec": {**first["spec"], "e": {
+                **first["spec"]["e"], "ambient": {**sg, "small": [False, 3]}}}}]}),
     ]
 
 

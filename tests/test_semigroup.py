@@ -246,8 +246,10 @@ def test_str_caches_no_member_tuple():
 @pytest.fixture(scope="module")
 def bitmask_cases():
     """Every S with f <= 14, the symmetric and odd doubles of three bases up
-    to f(T) = 300, and {0, 6, 7, 9->}, whose largest minimal generator 11
-    puts x + g for the gap x = 8 at 2c + 1."""
+    to f(T) = 300, {0, 6, 7, 9->}, whose largest minimal generator 11
+    puts x + g for the gap x = 8 at 2c + 1, and semigroups whose Apery sets
+    are wide: large multiplicity or large conductor, so that their masks
+    span many bytes and words."""
     cases = [
         s for f in (-1, *range(1, 15)) for s in oracle.enum_semigroups_with_frobenius(f)
     ]
@@ -256,6 +258,12 @@ def bitmask_cases():
         for fam in (enumerate_symmetric_doubles(base, 300), enumerate_odd_doubles(base, 300)):
             cases += [cert.double for cert in fam.members]
     cases.append(NumericalSemigroup.from_small_elements([0, 6, 7], 9))
+    for gens in ((50, 51, 53, 77),                        # c = 477, m = 50
+                 (6, 1003, 2005),                         # c = 5010; 2005 = 1003 + 6 * 167
+                 (64, 65, 66, 67, 68, 69, 70, 71, 150),   # c = 448, 9 generators
+                 (37, 401, 443, 502, 719),                # c = 2412, type 10
+                 (2, 2001)):                              # c = 2000, every odd x < c a gap
+        cases.append(NumericalSemigroup.from_generators(gens))
     return cases
 
 
