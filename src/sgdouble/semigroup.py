@@ -64,24 +64,21 @@ def _flags(mask: int) -> bytes:
 def _bits(mask: int, start: int = 0) -> tuple[int, ...]:
     """Ascending ``start + i`` for the set bits i of a nonnegative ``mask``.
 
-    One character per bit of the mask: for dense masks.
+    A mask with few set bits for its width is read one set bit at a time, at
+    the cost of a few full-width word operations each; any other mask one
+    character per bit.  The first is cheaper while the set bits are fewer
+    than a sixteenth of the width, and at most 256 of them: past that the
+    word operations on wide masks outweigh the characters.
     """
+    if mask.bit_count() << 4 < min(mask.bit_length(), 4096):
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(start + low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
     flags = _flags(mask)
     return tuple(compress(range(start, start + len(flags)), flags))
-
-
-def _sparse_bits(mask: int) -> tuple[int, ...]:
-    """The set bits of a nonnegative ``mask``, ascending.
-
-    One word operation per set bit, lowest first: for masks with few set
-    bits in a wide window, where ``_bits`` would spend a character per bit.
-    """
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def _mask_of(elems, lo: int = 0) -> int:
@@ -395,10 +392,9 @@ class NumericalSemigroup(_UpSet):
         apery = members & ~(members << m) & ~1
         sums = 0
         # a sum a + b < hi of members 0 < a <= b has a <= hi // 2
-        # at most m members each: listed by their set bits, not bit by bit
-        for a in _sparse_bits(apery & ((1 << (hi // 2 + 1)) - 1)):
+        for a in _bits(apery & ((1 << (hi // 2 + 1)) - 1)):
             sums |= apery << a
-        return _sparse_bits(apery & ~sums | 1 << m)
+        return _bits(apery & ~sums | 1 << m)
 
 
 #: The full set of nonnegative integers.

@@ -1,9 +1,9 @@
 """The bit kernels against per-bit reference definitions.
 
 ``_reverse``, ``_spread`` and ``_unspread`` go through byte and hex-digit
-tables, and ``_sparse_bits`` steps from set bit to set bit; each is checked
-here bit by bit, at every width from 0 to 70 (so across every byte
-boundary) and at width 2001.
+tables, and ``_bits`` steps from set bit to set bit in a sparse mask and
+reads any other one character per bit; each is checked here bit by bit, at
+every width from 0 to 70 (so across every byte boundary) and at width 2001.
 """
 
 import random
@@ -11,7 +11,7 @@ import random
 import pytest
 
 from sgdouble.duplication import _spread, _unspread
-from sgdouble.semigroup import _bits, _reverse, _sparse_bits
+from sgdouble.semigroup import _bits, _reverse
 
 
 def ref_reverse(mask, width):
@@ -54,7 +54,8 @@ def test_kernels_match_per_bit_definitions(width):
         assert _spread(mask) == ref_spread(mask), mask
         assert _unspread(mask) == ref_unspread(mask), mask
         assert _unspread(_spread(mask)) == mask
-        assert _sparse_bits(mask) == ref_bits(mask) == _bits(mask), mask
+        assert _bits(mask) == ref_bits(mask), mask
+        assert _bits(mask, 5) == tuple(x + 5 for x in ref_bits(mask)), mask
         # odd bits are dropped: the even bits of any mask, spread or not
         assert _unspread(mask | _spread(mask) << 1) == ref_unspread(mask | _spread(mask) << 1)
 
@@ -62,7 +63,20 @@ def test_kernels_match_per_bit_definitions(width):
 def test_kernels_at_zero():
     assert _reverse(0, 0) == 0 and _reverse(0, 9) == 0
     assert _spread(0) == 0 and _unspread(0) == 0
-    assert _sparse_bits(0) == () == _bits(0)
+    assert _bits(0) == () == _bits(0, 7)
+
+
+@pytest.mark.parametrize("width", [48, 160, 161, 4096, 4097, 9000])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_bits_on_either_side_of_the_sparse_density(width, extra):
+    # a sixteenth of the width, at most 256: set bits step by step below
+    # it, one character per bit from it on; both give the same listing
+    rng = random.Random(width)
+    count = min(width // 16, 256) + extra
+    picked = {width - 1, *rng.sample(range(width - 1), count - 1)}
+    mask = sum(1 << x for x in picked)
+    assert _bits(mask) == tuple(sorted(picked)) == ref_bits(mask)
+    assert _bits(mask, 3) == tuple(x + 3 for x in sorted(picked))
 
 
 @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 16, 17, 2001])

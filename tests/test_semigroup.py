@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -264,6 +265,8 @@ def bitmask_cases():
                  (37, 401, 443, 502, 719),                # c = 2412, type 10
                  (2, 2001)):                              # c = 2000, every odd x < c a gap
         cases.append(NumericalSemigroup.from_generators(gens))
+    # m = c: every integer in [c, 2c) is a minimal generator
+    cases.append(NumericalSemigroup.from_small_elements([0], 300))
     return cases
 
 
@@ -295,6 +298,19 @@ def test_bitmask_invariants_match_definitions(bitmask_cases):
         assert classify(s) == ref, str(s)
         assert set(criteria(s).values()) == {ref.almost_symmetric}, (str(s), criteria(s))
         assert s.minimal_generators == _naive_minimal_generators(s), str(s)
+
+
+def test_multiplicity_at_the_conductor_lists_in_linear_time():
+    # {0, c->}: c minimal generators and c - 1 pseudo-Frobenius numbers in
+    # windows of about 2c bits, too dense to read one set bit at a time
+    c = 200_000
+    s = NumericalSemigroup.from_small_elements([0], c)
+    start = time.perf_counter()
+    assert s.minimal_generators == tuple(range(c, 2 * c))
+    assert s.pseudo_frobenius == tuple(range(1, c))
+    assert classify(s).type == c - 1
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.5, f"{elapsed:.2f}s"
 
 
 def test_pseudo_frobenius_window_reaches_largest_generator():
