@@ -10,6 +10,7 @@ only one marked exhaustive.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +30,9 @@ from .semigroup import (
     CONDUCTOR_LIMIT,
     ClassificationReport,
     NumericalSemigroup,
+    _bits,
     _pf_type,
+    _reverse,
     _symmetry_class,
     _UpSet,
     classify,
@@ -106,11 +109,29 @@ class OddConditionReport:
         return self.frobenius_matches and self.sandwich and self.dual_is_semigroup
 
 
+#: What the checks need of S besides S itself: M, the sandwich's lower
+#: bound K - (M - M), M - K and the odd-type window W.
+_BaseContext = namedtuple("_BaseContext", "m kmm mk window")
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
-def _base_context(s: NumericalSemigroup):
+def _base_context(s: NumericalSemigroup) -> _BaseContext:
+    """M, K - (M - M), M - K and W, K the canonical ideal and M the maximal one.
+
+    The offset condition b + shift + E + K <= M of an odd-type double with
+    spec (S, E, b), shift = f(E) - f(S), says that E lies inside
+    (M - K) - (b + shift), and as 0 is in E, b + shift is in M - K.
+    W = M - (K + (K - (M - M))) = (M - K) - (K - (M - M)) holds f(T) - 2 f(S)
+    for every such double: the sandwich K - (M - M) <= tilde(E) = E - shift
+    and the offset condition give b + 2 shift + K + (K - (M - M)) <= M, and
+    b + 2 shift = f(T) - 2 f(S).  W does not depend on E, and its smallest
+    member bounds f(T) - 2 f(S) from below.
+    """
     k = canonical_ideal(s)
     m = maximal_ideal(s)
-    return k, m, k - (m - m)
+    kmm = k - (m - m)
+    mk = m - k
+    return _BaseContext(m, kmm, mk, mk - kmm)
 
 
 def _odd_ideals(s: NumericalSemigroup):
@@ -120,35 +141,41 @@ def _odd_ideals(s: NumericalSemigroup):
     other half holds for every relative ideal: x in E with f(E) - x in S
     would put f(E) in E + S <= E.
     """
-    _, _, kmm = _base_context(s)
+    kmm = _base_context(s).kmm
     f = s.frobenius
     return lambda fe: _ideals_between(s, fe, kmm.translate(fe - f), s)
 
 
-def _odd_ideal_part(s: NumericalSemigroup, e: RelativeIdeal):
-    """The odd-type check of E inside the walk's sandwich, as the offset condition left to decide.
+def _odd_offset_ok(s: NumericalSemigroup, e: RelativeIdeal, b: int) -> bool:
+    """True if b + shift + E + K <= M, shift = f(E) - f(S): E inside (M - K) - (b + shift)."""
+    return e <= _base_context(s).mk.translate(s.frobenius - e.frobenius - b)
 
-    None when K - tilde(E) is not a numerical semigroup, else the predicate
-    b + shift + E + K <= M on the offset b, with shift = f(E) - f(S): the
-    membership of b in M - (shift + E + K), an ideal computed once for the
-    many offsets the enumerator tries.  Each accepted b meets the sum
-    condition: E - shift = tilde(E) <= K gives E + E + b <= b + shift + E + K <= M.
+
+def _odd_dual_ok(s: NumericalSemigroup, e: RelativeIdeal) -> bool:
+    """True if K - tilde(E), the reflection dual of tilde(E), is a numerical semigroup."""
+    return is_numerical_semigroup_set(e.tilde().reflection_dual())
+
+
+def _odd_ideal_part(s: NumericalSemigroup, e: RelativeIdeal, bs) -> list[int]:
+    """The offsets of ``bs`` that pass the odd-type check of E inside the walk's sandwich.
+
+    First the offset condition, one inclusion per b (``_odd_offset_ok``);
+    only if some b passes is K - tilde(E) tested.  Each accepted b meets the
+    sum condition: E - shift = tilde(E) <= K gives
+    E + E + b <= b + shift + E + K <= M.
     """
-    k, m, _ = _base_context(s)
-    if not is_numerical_semigroup_set(k - e.tilde()):
-        return None
-    return (m - (e + k).translate(e.frobenius - s.frobenius)).__contains__
+    accepted = [b for b in bs if _odd_offset_ok(s, e, b)]
+    return accepted if accepted and _odd_dual_ok(s, e) else []
 
 
 def odd_necessary_conditions(spec: DuplicationSpec) -> OddConditionReport:
     """Evaluate the three necessary conditions for an odd-type double."""
     s, e, b = spec.base, spec.ideal, spec.odd_offset
-    k, _, kmm = _base_context(s)
-    tilde = e.tilde()
+    kmm = _base_context(s).kmm
     return OddConditionReport(
         frobenius_matches=(duplication_frobenius(spec) == 2 * e.frobenius + b),
-        sandwich=kmm <= tilde,  # tilde(E) <= K holds for every relative ideal
-        dual_is_semigroup=is_numerical_semigroup_set(k - tilde),
+        sandwich=kmm <= e.tilde(),  # tilde(E) <= K holds for every relative ideal
+        dual_is_semigroup=_odd_dual_ok(s, e),
     )
 
 
@@ -159,13 +186,12 @@ def odd_double_check(spec: DuplicationSpec) -> bool:
     offset + shift + E + K <= M, where shift = f(E) - f(S).
     """
     s, e, b = spec.base, spec.ideal, spec.odd_offset
-    _, _, kmm = _base_context(s)
+    kmm = _base_context(s).kmm
     # f(T) = 2 f(E) + b exactly when 2 f(E) + b, an odd number, exceeds 2 f(S);
     # then the sandwich, which the odd enumerator's walk holds
     if 2 * e.frobenius + b <= 2 * s.frobenius or not kmm <= e.tilde():
         return False
-    offset_ok = _odd_ideal_part(s, e)
-    return offset_ok is not None and offset_ok(b)
+    return _odd_offset_ok(s, e, b) and _odd_dual_ok(s, e)
 
 
 def _even_ideals(s: NumericalSemigroup):
@@ -187,19 +213,19 @@ def _sum_offsets(s: NumericalSemigroup, e: RelativeIdeal) -> RelativeIdeal:
     return unit_ideal(s) - (e + e)
 
 
-def _even_ideal_part(s: NumericalSemigroup, e: RelativeIdeal):
-    """The even-type check of E with K <= E - E, as the offset condition left to decide.
+def _even_ideal_part(s: NumericalSemigroup, e: RelativeIdeal, bs) -> list[int]:
+    """The offsets of ``bs`` that pass the even-type check of E with K <= E - E.
 
-    The predicate M - E <= (E - M) + b on the offset b, together with the
+    The condition M - E <= (E - M) + b on the offset b, together with the
     sum condition E + E + b <= S, which every valid spec meets: the
     memberships of -b in (E - M) - (M - E) and of b in ``_sum_offsets``,
-    ideals computed once for the many offsets the enumerator tries.  Assumes
-    ``s`` is almost symmetric.
+    ideals computed once for all of ``bs``.  Assumes ``s`` is almost
+    symmetric.
     """
-    _, m, _ = _base_context(s)
+    m = _base_context(s).m
     offsets = (e - m) - (m - e)
     sums = _sum_offsets(s, e)
-    return lambda b: -b in offsets and b in sums
+    return [b for b in bs if -b in offsets and b in sums]
 
 
 def even_double_check(spec: DuplicationSpec) -> bool:
@@ -217,7 +243,7 @@ def even_double_check(spec: DuplicationSpec) -> bool:
         )
     if not classify(s).almost_symmetric:
         return False
-    return canonical_ideal(s) <= e - e and _even_ideal_part(s, e)(b)
+    return canonical_ideal(s) <= e - e and _even_ideal_part(s, e, (b,)) == [b]
 
 
 # -- search space -------------------------------------------------------------
@@ -250,14 +276,16 @@ def _ideals_between(s: NumericalSemigroup, fe: int, need: _UpSet, close: _UpSet,
         return []
     forced = need._window(0, fe + 1)
     base = s._window(0, fe)
-    free = [g for g in s.gaps if g < fe and (fe - g) not in close]
-    # below fe + 1, E holds the base and may hold free gaps, but never fe
-    if forced & ~(base | sum(1 << g for g in free)):
-        return []
     gaps = s._gap_mask & ((1 << fe) - 1)
+    # fe - g, in (0, fe], is in close where close's members in [1, fe],
+    # mirrored, have bit g
+    free = gaps & ~_reverse(close._window(1, fe + 1), fe)
+    # below fe + 1, E holds the base and may hold free gaps, but never fe
+    if forced & ~(base | free):
+        return []
     steps = close._window(0, fe) & ~1  # the nonzero members of close below fe
     chosen = [0]  # bitmasks over the gaps selected so far
-    for g in reversed(free):
+    for g in reversed(_bits(free)):
         # g + a, a > 0 in close, below fe and outside S is a gap larger than g
         required = steps << g & gaps
         grown = [c | 1 << g for c in chosen if c & required == required]
@@ -291,26 +319,27 @@ def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal
     return tuple(sorted(_ideals_between(s, fe, s, s), key=_mask_order))
 
 
-def _specs(s: NumericalSemigroup, lo: int, hi: int, ideals, ideal_part):
+def _offsets(s: NumericalSemigroup, targets):
+    """For each f(E) = fe, the offsets b = t - 2 fe in S of the odd ``targets`` t, ascending."""
+    return lambda fe: [b for t in targets if (b := t - 2 * fe) in s]
+
+
+def _specs(s: NumericalSemigroup, offsets, ideals, ideal_part):
     """Yield the normalized specs over ``s`` that pass a two-part check.
 
-    Offsets b are the odd members of S with lo <= 2 f(E) + b <= hi, ``lo``
-    odd, and ``ideals(f(E))`` gives the ideals to check for each f(E).
-    ``ideal_part(s, e)`` runs once per ideal and is None when E fails, else
-    the predicate that decides each offset; it accepts only offsets with
-    E + E + b <= S, so the specs skip the constructor's checks.
+    ``offsets(f(E))`` gives the offsets to try for each f(E), ascending, and
+    an f(E) left with none is not walked.  ``ideals(f(E))`` gives the ideals to
+    check for each f(E).  ``ideal_part(s, e, bs)`` runs once per ideal and
+    returns the offsets of ``bs`` that E accepts; it accepts only offsets
+    with E + E + b <= S, so the specs skip the constructor's checks.
     """
     for fe in (-1, *s.gaps):
-        bs = [b for b in range(lo - 2 * fe, hi - 2 * fe + 1, 2) if b in s]
+        bs = offsets(fe)
         if not bs:
             continue
         for e in ideals(fe):
-            offset_ok = ideal_part(s, e)
-            if offset_ok is None:
-                continue
-            for b in bs:
-                if offset_ok(b):
-                    yield DuplicationSpec._of(s, e, b)
+            for b in ideal_part(s, e, bs):
+                yield DuplicationSpec._of(s, e, b)
 
 
 def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
@@ -322,8 +351,9 @@ def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
     callers pass max_frobenius >= 2 f(S).
     """
     # every offset b >= 1 meets 2 f(E) + b >= -1, since f(E) >= -1
-    return _specs(s, -1, max_frobenius, lambda fe: ideals_with_frobenius(s, fe),
-                  lambda s, e: _sum_offsets(s, e).__contains__)
+    return _specs(s, _offsets(s, range(-1, max_frobenius + 1, 2)),
+                  lambda fe: ideals_with_frobenius(s, fe),
+                  lambda s, e, bs: list(filter(_sum_offsets(s, e).__contains__, bs)))
 
 
 def _certificate(t: NumericalSemigroup, spec: DuplicationSpec, kind: str) -> DoubleCertificate:
@@ -388,11 +418,26 @@ def enumerate_symmetric_doubles(s: NumericalSemigroup, max_frobenius: int) -> Do
 
 
 def enumerate_odd_doubles(s: NumericalSemigroup, max_frobenius: int) -> DoubleFamily:
-    """All almost symmetric odd-type doubles of ``s`` up to the bound."""
+    """All almost symmetric odd-type doubles of ``s`` up to the bound.
+
+    Only the targets f(T) with f(T) - 2 f(S) in the window W of
+    ``_base_context`` are tried, and for each f(E) only the offsets b with
+    b + f(E) - f(S) in M - K, so an f(E) none of them reaches is not walked.
+    Nor is an f(E) below f(S) - m(K - (M - M)), where the walk's lower bound
+    K - (M - M) + f(E) - f(S) has a negative member.
+    """
     _check_bound(s, max_frobenius)
     f = s.frobenius
+    _, kmm, mk, window = _base_context(s)
     # 2 f(S) < f(T) = 2 f(E) + b <= max_frobenius
-    specs = _specs(s, 2 * f + 1, max_frobenius, _odd_ideals(s), _odd_ideal_part)
+    in_window = _offsets(s, [t for t in range(2 * f + 1, max_frobenius + 1, 2)
+                             if t - 2 * f in window])
+    least = f - kmm.min_element
+
+    def offsets(fe):
+        return [b for b in in_window(fe) if b + fe - f in mk] if fe >= least else []
+
+    specs = _specs(s, offsets, _odd_ideals(s), _odd_ideal_part)
     return _family(s, specs, KIND_ODD, False)
 
 
@@ -408,7 +453,7 @@ def enumerate_even_doubles(s: NumericalSemigroup) -> DoubleFamily:
         return DoubleFamily(s, (), True)
     f = s.frobenius
     # 2 f(E) + b < 2 f(S)
-    specs = _specs(s, -1, 2 * f - 1, _even_ideals(s), _even_ideal_part)
+    specs = _specs(s, _offsets(s, range(-1, 2 * f, 2)), _even_ideals(s), _even_ideal_part)
     return _family(s, specs, KIND_EVEN, True)
 
 

@@ -50,6 +50,13 @@ _CACHE_SIZE = 1024
 #: gap list alone takes hundreds of megabytes.
 CONDUCTOR_LIMIT = 2_000_000
 
+#: Largest conductor whose PF numbers are found by ANDing over the Apery set
+#: rather than the minimal generators.  Up to it the ANDs are narrow, and not
+#: listing the generators saves more than the extra ANDs cost: about 2x
+#: faster at conductors 50-512 and small m, at worst 1.2x slower (m = 64).
+#: Past it the Apery set's up to m conductor-wide ANDs cost up to 4x more.
+_APERY_SPAN = 512
+
 
 def _check_conductor(c: int) -> None:
     if c > CONDUCTOR_LIMIT:
@@ -358,15 +365,25 @@ class NumericalSemigroup(_UpSet):
     @property
     def _pf_mask(self) -> int:
         # x + s in S for every nonzero s in S already follows from x + g in S
-        # for every minimal generator g, and for a gap x it holds outright
-        # once g >= c.  For g < c, x + g stays below 2c.
+        # for every g of a generating set, and for a gap x it holds outright
+        # once g >= c.  For g < c, x + g stays below 2c.  The set is m with
+        # the nonzero members of the Apery set {g in S : g - m not in S},
+        # read off the mask, or past _APERY_SPAN the minimal generators.
         c = self._c
         members = self._window(0, 2 * c)
         pf = self._gap_mask
-        for g in self.minimal_generators:
-            if g >= c:
-                break
-            pf &= members >> g
+        if c > _APERY_SPAN:
+            for g in self.minimal_generators:
+                if g >= c:
+                    break
+                pf &= members >> g
+            return pf
+        m = self.multiplicity
+        steps = members & ~(members << m) & ((1 << c) - 2) | 1 << m
+        while steps:
+            g = steps & -steps
+            pf &= members >> (g.bit_length() - 1)
+            steps ^= g
         return pf
 
     @property

@@ -3,6 +3,7 @@ import pytest
 from sgdouble import (
     NATURALS,
     DuplicationSpec,
+    NumericalSemigroup,
     classify,
     decompose,
     duplicate,
@@ -28,7 +29,12 @@ from sgdouble.errors import (
     IsNaturals,
     NotAlmostSymmetric,
 )
-from sgdouble.ideals import canonical_ideal, maximal_ideal
+from sgdouble.ideals import (
+    canonical_ideal,
+    is_numerical_semigroup_set,
+    maximal_ideal,
+    relative_ideal,
+)
 from sgdouble.semigroup import canonical_key
 
 from cases import D1, D2, D3, E1, E2, F2, S1, S2, ST1, T1, T2
@@ -251,7 +257,8 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
     # upper half tilde(E) <= K holds for every ideal, so the walk bounds only
     # the lower one.  On the walked ideals, each offset membership test
     # agrees with the inclusion it replaces, at every odd b the enumerators
-    # could try, and every offset the odd part accepts meets the sum condition
+    # could try, and every offset the odd part accepts meets the sum condition;
+    # the odd part accepts none when K - tilde(E) is not a numerical semigroup
     bases = [s for f in (-1, *range(1, 12)) for s in oracle.enum_semigroups_with_frobenius(f)]
     assert len(bases) == 131
     walked = total = tried = dropped = 0
@@ -276,29 +283,149 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
                         assert not odd_double_check(DuplicationSpec(s, e, b)), (s, e, b)
                         dropped += 1
             for e in odd:
-                offset_ok = doubles._odd_ideal_part(s, e)
-                if offset_ok is None:
+                accepted = doubles._odd_ideal_part(s, e, offsets)
+                if not is_numerical_semigroup_set(k - e.tilde()):
+                    assert accepted == [], (s, e)
                     continue
                 shifted_sum = (e + k).translate(e.frobenius - f)
                 for b in offsets:
-                    assert offset_ok(b) == (shifted_sum.translate(b) <= m), (s, e, b)
-                    assert not offset_ok(b) or sum_violation(s, e, b) is None, (s, e, b)
+                    assert (b in accepted) == (shifted_sum.translate(b) <= m), (s, e, b)
+                    assert b not in accepted or sum_violation(s, e, b) is None, (s, e, b)
                     tried += 1
             even = doubles._even_ideals(s)(fe)
             assert sorted(even, key=lambda e: e.elements_below) == [
                 e for e in pool if k <= e - e], (s, fe)
             for e in even:
-                offset_ok = doubles._even_ideal_part(s, e)
-                for b in range(1, 2 * f - 2 * fe, 2):
+                even_offsets = range(1, 2 * f - 2 * fe, 2)
+                accepted = doubles._even_ideal_part(s, e, even_offsets)
+                for b in even_offsets:
                     offset_old = m - e <= (e - m).translate(b)
                     sum_old = sum_violation(s, e, b) is None
-                    assert offset_ok(b) == (offset_old and sum_old), (s, e, b)
+                    assert (b in accepted) == (offset_old and sum_old), (s, e, b)
                     assert (-b in (e - m) - (m - e)) == offset_old
                     assert (b in doubles._sum_offsets(s, e)) == sum_old
                     tried += 1
             walked += len(odd) + len(even)
     assert 0 < walked < total / 2
     assert tried == 13818 and dropped > 0
+
+
+def _sandwich_bound(s):
+    # K - (M - M), the lower half of the odd check's sandwich
+    k, m = canonical_ideal(s), maximal_ideal(s)
+    return k - (m - m)
+
+
+def _odd_window(s):
+    # M - (K + (K - (M - M))), computed here from its definition
+    k, m = canonical_ideal(s), maximal_ideal(s)
+    return m - (k + (k - (m - m)))
+
+
+@pytest.mark.slow
+def test_odd_window_drops_no_odd_type_double_at_frobenius_up_to_11():
+    # every spec the odd check accepts, among all valid specs up to
+    # f(T) = 2 f(S) + 41, has f(T) - 2 f(S) in the window the enumerator
+    # keeps, for every S with f(S) <= 11
+    bases = [s for f in (-1, *range(1, 12)) for s in oracle.enum_semigroups_with_frobenius(f)]
+    found = 0
+    for s in bases:
+        f = s.frobenius
+        window = _odd_window(s)
+        assert doubles._base_context(s).window == window, s
+        for spec in candidate_specs(s, 2 * f + 41):
+            if odd_double_check(spec):
+                t = 2 * spec.ideal.frobenius + spec.odd_offset
+                assert t - 2 * f in window, spec
+                found += 1
+    assert found == 33719
+
+
+def test_odd_window_holds_every_oracle_odd_type_double():
+    # the oracle's odd-type doubles up to f(T) = 2 f(S) + 9, every S with
+    # f(S) <= 7: 448, and 5 of the naturals
+    bases = [s for f in (-1, *range(1, 8)) for s in oracle.enum_semigroups_with_frobenius(f)]
+    found = 0
+    for s in bases:
+        window = _odd_window(s)
+        for t in oracle.brute_doubles(s, "odd", 2 * s.frobenius + 9):
+            assert t.frobenius - 2 * s.frobenius in window, (s, t)
+            found += 1
+    assert found == 453
+
+
+@pytest.mark.parametrize("gens, sizes", [
+    ((9, 10, 14, 15), (9, 90)),
+    ((11, 13, 15, 17, 19, 21), (0, 201)),
+    ((13, 14, 15, 17, 19, 23), (0, 90)),
+])
+def test_odd_enumerator_matches_odd_check_on_midgenus_bases(gens, sizes):
+    # where the window prunes whole f(T) targets, past the oracle's reach:
+    # the family is every valid spec the odd check accepts, in canonical order
+    s = NumericalSemigroup.from_generators(gens)
+    f = s.frobenius
+    found = []
+    for bound in (2 * f + 9, 2 * f + 41):
+        specs = [spec for spec in candidate_specs(s, bound) if odd_double_check(spec)]
+        expected = sorted(((duplicate(spec), spec) for spec in specs),
+                          key=lambda pair: canonical_key(pair[0]))
+        members = enumerate_odd_doubles(s, bound).members
+        assert [(c.double, c.spec) for c in members] == expected, bound
+        found.append(len(members))
+    assert tuple(found) == sizes
+
+
+def test_odd_window_leaves_nothing_to_walk_on_11_13_15_17_19_21(monkeypatch):
+    # W = {11, 13, 15, 17, 19, 21->}, so no f(T) <= 2 f(S) + 9 = 27 survives
+    s = NumericalSemigroup.from_generators((11, 13, 15, 17, 19, 21))
+    assert _odd_window(s) == relative_ideal(s, [11, 13, 15, 17, 19], 21)
+    walked = []
+    odd_ideals = doubles._odd_ideals
+
+    def counted(s):
+        ideals = odd_ideals(s)
+        return lambda fe: walked.extend(ideals(fe)) or ideals(fe)
+
+    monkeypatch.setattr(doubles, "_odd_ideals", counted)
+    assert enumerate_odd_doubles(s, 2 * s.frobenius + 9).members == ()
+    assert walked == []
+
+
+def test_odd_offsets_in_m_minus_k_leave_one_ideal_to_walk_on_9_11_12_16_17(monkeypatch):
+    # W = {9, 11->} leaves the target f(T) = 2 f(S) + 9 = 47, so the window
+    # alone walks 14 ideals at f(E) = 10, 13, 15 and 19; only at f(E) = 10
+    # is b + f(E) - f(S) in M - K, and no f(E) below f(S) - m(K - (M - M)) = 10
+    # is tried
+    s = NumericalSemigroup.from_generators((9, 11, 12, 16, 17))
+    f = s.frobenius
+    k, m = canonical_ideal(s), maximal_ideal(s)
+    assert _odd_window(s) == relative_ideal(s, [9], 11)
+    assert _sandwich_bound(s).min_element == 9
+    tried, walked = [], []
+    odd_ideals = doubles._odd_ideals
+
+    def counted(s):
+        ideals = odd_ideals(s)
+        return lambda fe: tried.append(fe) or walked.extend(ideals(fe)) or ideals(fe)
+
+    monkeypatch.setattr(doubles, "_odd_ideals", counted)
+    members = enumerate_odd_doubles(s, 2 * f + 9).members
+    assert tried == [10] and len(walked) == 1
+    assert [c.spec for c in members] == [
+        spec for spec in candidate_specs(s, 2 * f + 9) if odd_double_check(spec)]
+    assert len(members) == 1
+    without = sum(len(odd_ideals(s)(fe)) for fe in (10, 13, 15, 19))
+    assert without == 14
+    for fe in (13, 15, 19):
+        b = 2 * f + 9 - 2 * fe
+        assert b + fe - f not in m - k
+    # on every S with f(S) <= 9, no f(E) is walked where the walk's lower
+    # bound K - (M - M) + f(E) - f(S) has a negative member
+    for s in [s for f in range(1, 10) for s in oracle.enum_semigroups_with_frobenius(f)]:
+        tried.clear()
+        enumerate_odd_doubles(s, 2 * s.frobenius + 41)
+        low = s.frobenius - _sandwich_bound(s).min_element
+        assert all(fe >= low for fe in tried), s
 
 
 @pytest.mark.slow

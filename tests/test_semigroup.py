@@ -263,7 +263,8 @@ def bitmask_cases():
                  (6, 1003, 2005),                         # c = 5010; 2005 = 1003 + 6 * 167
                  (64, 65, 66, 67, 68, 69, 70, 71, 150),   # c = 448, 9 generators
                  (37, 401, 443, 502, 719),                # c = 2412, type 10
-                 (2, 2001)):                              # c = 2000, every odd x < c a gap
+                 (2, 2001),                               # c = 2000, every odd x < c a gap
+                 (2, 513), (2, 515)):                     # c = 512, 514: either side of _APERY_SPAN
         cases.append(NumericalSemigroup.from_generators(gens))
     # m = c: every integer in [c, 2c) is a minimal generator
     cases.append(NumericalSemigroup.from_small_elements([0], 300))
