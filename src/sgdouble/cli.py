@@ -30,7 +30,7 @@ from .duplication import (
     normalize_params,
 )
 from .errors import SemigroupError
-from .ideals import canonical_ideal, maximal_ideal, relative_ideal
+from .ideals import _build, canonical_ideal, maximal_ideal, relative_ideal
 from .semigroup import NumericalSemigroup, classify
 
 
@@ -240,6 +240,16 @@ def _check_classifiers(census, rng):
     return n, True, ""
 
 
+def _sampled_ideals(s: NumericalSemigroup, rng: random.Random) -> list:
+    """Up to 8 ideals drawn by ``rng`` from those of ``ideals_with_frobenius(s, fe)``
+    over fe = -1 and the gaps of ``s``, listed in that order.
+
+    The draw is made among their masks, and only the drawn ideals are built.
+    """
+    pool = [(fe, x) for fe in (-1, *s.gaps) for x in doubles_mod._ideal_masks(s, fe)]
+    return [_build(s, x, 0, fe + 1) for fe, x in rng.sample(pool, min(len(pool), 8))]
+
+
 def _check_ideal_duality(census, rng):
     n = 0
     for s in census:
@@ -251,8 +261,7 @@ def _check_ideal_duality(census, rng):
         expected = relative_ideal(s, [*s.small_elements, *pf], s.conductor)
         if (m - m) != expected:
             return n, False, f"M - M mismatch on {s}"
-        pool = [e for fe in (-1, *s.gaps) for e in doubles_mod.ideals_with_frobenius(s, fe)]
-        for e in rng.sample(pool, min(len(pool), 8)):
+        for e in _sampled_ideals(s, rng):
             n += 1
             dual = k - e
             if e.reflection_dual() != dual:

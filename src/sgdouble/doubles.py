@@ -251,7 +251,15 @@ def even_double_check(spec: DuplicationSpec) -> bool:
 
 def _ideals_between(s: NumericalSemigroup, fe: int, need: _UpSet, close: _UpSet,
                     ) -> list[RelativeIdeal]:
-    """The ideals E of ``s`` with m(E) = 0 and f(E) = ``fe`` that contain ``need``, unsorted.
+    """The ideals of ``_ideal_masks_between``, built."""
+    return [_build(s, x, 0, fe + 1) for x in _ideal_masks_between(s, fe, need, close)]
+
+
+def _ideal_masks_between(s: NumericalSemigroup, fe: int, need: _UpSet, close: _UpSet,
+                         ) -> list[int]:
+    """The masks of the ideals E of ``s`` with m(E) = 0 and f(E) = ``fe`` that contain ``need``.
+
+    Unsorted; bit x of a mask is set for each member x of E below fe + 1.
 
     ``need`` is ``s`` or a relative ideal of ``s``, and leaves no ideal when
     it has a member below 0.  ``close``, ``s`` or a relative ideal of ``s``
@@ -271,7 +279,7 @@ def _ideals_between(s: NumericalSemigroup, fe: int, need: _UpSet, close: _UpSet,
     if need._lo < 0:
         return []
     if fe == -1:
-        return [naturals_ideal(s)]
+        return [0]  # the naturals
     if fe < 1 or fe in s:
         return []
     forced = need._window(0, fe + 1)
@@ -290,7 +298,7 @@ def _ideals_between(s: NumericalSemigroup, fe: int, need: _UpSet, close: _UpSet,
         required = steps << g & gaps
         grown = [c | 1 << g for c in chosen if c & required == required]
         chosen = grown if forced >> g & 1 else chosen + grown
-    return [_build(s, base | c, 0, fe + 1) for c in chosen]
+    return [base | c for c in chosen]
 
 
 # member x of a set with smallest member 0 reads "1" at position x, and a
@@ -298,13 +306,19 @@ def _ideals_between(s: NumericalSemigroup, fe: int, need: _UpSet, close: _UpSet,
 _AS_LIST = str.maketrans("0", "2")
 
 
-def _mask_order(u: _UpSet) -> tuple[int, str]:
-    """Sort key of sets with smallest member 0: conductor, then element list.
+def _list_order(mask: int) -> str:
+    """Sort key of the masks of sets with smallest member 0 and equal conductors.
 
-    Read from the mask without listing the members: a string sorts before
-    its extensions as an element list does.
+    Orders them by element list, read from the mask without listing the
+    members: a string sorts before its extensions as an element list does.
     """
-    return u._c, bin(u._mask)[:1:-1].translate(_AS_LIST)
+    return bin(mask)[:1:-1].translate(_AS_LIST)
+
+
+def _ideal_masks(s: NumericalSemigroup, fe: int) -> list[int]:
+    """The masks of ``ideals_with_frobenius(s, fe)``, in its order."""
+    # every ideal with smallest member 0 contains S and is closed under it
+    return sorted(_ideal_masks_between(s, fe, s, s), key=_list_order)
 
 
 def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal, ...]:
@@ -315,8 +329,7 @@ def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal
     only the ideals inside their checks' bounds.  fe values that admit no
     ideal yield the empty tuple.
     """
-    # every ideal with smallest member 0 contains S and is closed under it
-    return tuple(sorted(_ideals_between(s, fe, s, s), key=_mask_order))
+    return tuple(_build(s, x, 0, fe + 1) for x in _ideal_masks(s, fe))
 
 
 def _offsets(s: NumericalSemigroup, targets):
@@ -360,9 +373,11 @@ def _certificate(t: NumericalSemigroup, spec: DuplicationSpec, kind: str) -> Dou
     """The certificate of ``t``, the duplication of ``spec``, as a double of ``kind``.
 
     The type and class are read from the masks, each read once: no gap
-    tuple per member.
+    tuple per member.  L(T) is computed once and bounds the PF scan, which
+    a symmetric T, with L(T) empty, skips.
     """
-    pf, ell = t._pf_mask, t._second_type_mask
+    ell = t._second_type_mask
+    pf = t._pf_among(ell)
     return DoubleCertificate(t, spec, kind, _pf_type(pf), _symmetry_class(t.frobenius, pf, ell))
 
 
@@ -375,7 +390,7 @@ def _family(base: NumericalSemigroup, specs, kind: str, exhaustive: bool) -> Dou
     symmetric enumerator gives one spec per f(T).
     """
     members = sorted((_certificate(duplicate(spec), spec, kind) for spec in specs),
-                     key=lambda cert: _mask_order(cert.double))
+                     key=lambda cert: (cert.double._c, _list_order(cert.double._mask)))
     return DoubleFamily(base, tuple(members), exhaustive)
 
 

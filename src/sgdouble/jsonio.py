@@ -21,7 +21,7 @@ type must be the member's.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import accumulate, compress
 from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
@@ -159,19 +159,51 @@ def family_json_chunks(fam: DoubleFamily) -> Iterator[str]:
     """The text of ``json.dumps(family_to_dict(fam), sort_keys=True)``, in chunks.
 
     A header, then one chunk per member, then the closing ``]}``.  Each
-    integer list is read from its set's mask through one table of decimal
-    strings, built per family and spanning every listed integer, so no list
-    of ints is built.  The base's text is formatted once and reused.
+    integer list is read from its set's mask, so no list of ints is built.
+    In any set, the members between its highest even non-member and its
+    lowest odd member are exactly the even integers there: that run is cut
+    as one slice from a text of the family's even decimals, written once,
+    and only the members below and above it are joined one by one, from a
+    table of decimal strings.  In a double T of S, made of 2S and 2E + b,
+    the run starts past 2 f(S) and ends below the least odd member, so what
+    is joined spans O(f(S)) integers, not f(T).  The base's text is
+    formatted once and reused.
     """
     s, certs = fam.base, fam.members
     lo = min([0, *(c.spec.ideal._lo for c in certs)])
     hi = max([s._c, *(c.double._c for c in certs), *(c.spec.ideal._c for c in certs)])
     table = list(map(str, range(lo, hi)))
+    # the even decimals from the least even lo0 >= lo, ", "-joined, and
+    # where each starts: even x runs from starts[i] to starts[i + 1] - 2
+    lo0 = lo + (lo & 1)
+    evens = table[lo0 - lo::2]
+    even_text = ", ".join(evens)
+    starts = list(accumulate((len(d) + 2 for d in evens), initial=0))
+    alternate = int("01" * ((hi - lo) // 2 + 1), 2)  # bits 0, 2, 4, ...
+
+    def joined(mask: int, start: int) -> str:
+        # the decimals lo + start + i for the set bits i of mask
+        flags = _flags(mask)
+        return ", ".join(compress(table[start:start + len(flags)], flags))
 
     def ints(u) -> str:
-        flags = _flags(u._mask)
-        start = u._lo - lo
-        return "[" + ", ".join(compress(table[start:start + len(flags)], flags)) + "]"
+        ulo, mask, width = u._lo, u._mask, u._c - u._lo
+        # bit i of u's mask stands for ulo + i: even where i has ulo's parity
+        even_bits = alternate << (ulo & 1)
+        gaps = ~mask & ((1 << width) - 1)
+        odd_members = mask & ~even_bits
+        gap = (gaps & even_bits).bit_length() - 1  # -1 if none
+        odd = (odd_members & -odd_members).bit_length() - 1 if odd_members else width
+        first = gap + 1 + ((ulo + gap + 1) & 1)  # the least even after the gap
+        last = odd - 1 - ((ulo + odd - 1) & 1)   # the greatest even before the odd member
+        start = ulo - lo
+        if first > last:
+            return "[" + joined(mask, start) + "]"
+        i, j = (ulo + first - lo0) // 2, (ulo + last - lo0) // 2
+        parts = (joined(mask & ((1 << first) - 1), start),
+                 even_text[starts[i]:starts[j + 1] - 2],
+                 joined(mask >> (last + 1), start + last + 1))
+        return "[" + ", ".join(filter(None, parts)) + "]"
 
     def semigroup(t: NumericalSemigroup) -> str:
         return f'{{"conductor": {t._c}, "small": {ints(t)}}}'

@@ -364,14 +364,25 @@ class NumericalSemigroup(_UpSet):
 
     @property
     def _pf_mask(self) -> int:
+        return self._pf_among(self._second_type_mask)
+
+    def _pf_among(self, ell: int) -> int:
+        """The PF mask, given the mask ``ell`` of the second-type gaps L(S).
+
+        A pseudo-Frobenius number x other than f lies in L(S): were f - x in
+        S, f = x + (f - x) would be in S.  So the scan starts from L(S) and
+        f, and a symmetric S, with L(S) empty, needs none.
+        """
         # x + s in S for every nonzero s in S already follows from x + g in S
         # for every g of a generating set, and for a gap x it holds outright
         # once g >= c.  For g < c, x + g stays below 2c.  The set is m with
         # the nonzero members of the Apery set {g in S : g - m not in S},
         # read off the mask, or past _APERY_SPAN the minimal generators.
         c = self._c
+        pf = ell | 1 << c >> 1  # no f for the naturals, whose c is 0
+        if not ell:
+            return pf
         members = self._window(0, 2 * c)
-        pf = self._gap_mask
         if c > _APERY_SPAN:
             for g in self.minimal_generators:
                 if g >= c:
@@ -481,7 +492,8 @@ def classify(s: NumericalSemigroup) -> ClassificationReport:
     Almost symmetry is decided by its definition, L(S) inside PF(S); the
     tests hold the reflection and pairing characterizations equal to it.
     """
-    pf, ell = s._pf_mask, s._second_type_mask
+    ell = s._second_type_mask
+    pf = s._pf_among(ell)
     return ClassificationReport(
         frobenius=s.frobenius,
         gaps=s.gaps,

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import random
 import re
 import sys
 import tracemalloc
@@ -22,7 +23,8 @@ from sgdouble import (
     odd_double_check,
     oracle,
 )
-from sgdouble.cli import main
+from sgdouble.cli import _sampled_ideals, main
+from sgdouble.doubles import ideals_with_frobenius
 from sgdouble.errors import SemigroupError
 from sgdouble import jsonio
 
@@ -368,6 +370,23 @@ def test_verify_case_counts(capsys, argv, cases):
     code, data, _ = run_json(capsys, "verify", *argv)
     assert code == 0 and data["ok"] is True
     assert [(c["name"], c["cases"]) for c in data["checks"]] == list(zip(VERIFY_CHECKS, cases))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verify_draws_the_ideals_of_the_full_pool(seed):
+    # ideal duality draws among the ideals' masks and builds only the drawn
+    # ones: the same ideals, drawn by the same rng, as from the full pool of
+    # built ideals, by f(E) and then by element list, base after base
+    mine, ref = random.Random(seed), random.Random(seed)
+    n = 0
+    for f in (-1, *range(1, 10)):
+        for s in oracle.enum_semigroups_with_frobenius(f):
+            pool = [e for fe in (-1, *s.gaps)
+                    for e in sorted(ideals_with_frobenius(s, fe), key=lambda e: e.elements_below)]
+            drawn = _sampled_ideals(s, mine)
+            assert drawn == ref.sample(pool, min(len(pool), 8)), str(s)
+            n += len(drawn)
+    assert n == 427
 
 
 # each wrong kernel answer is seen by its own check only

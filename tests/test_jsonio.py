@@ -206,3 +206,36 @@ def _malformed_cases():
 def test_malformed_input_raises_domain_error(decode, data):
     with pytest.raises(SemigroupError, match="malformed JSON"):
         decode(through_json(data))
+
+
+def _writer_cases():
+    """Families whose sets have long even runs, none, or odd-shaped ones."""
+    s357 = NumericalSemigroup.from_generators([3, 5, 7])
+    fams = [enumerate_symmetric_doubles(s357, 2001),
+            enumerate_odd_doubles(NumericalSemigroup.from_generators([4, 6, 7, 9]), 801),
+            enumerate_even_doubles(T1)]
+    naturals = NumericalSemigroup.from_generators([1])
+    fams += [enumerate_even_doubles(naturals), enumerate_odd_doubles(naturals, 41),
+             enumerate_symmetric_doubles(naturals, 41)]
+    # a decoded member whose ideal starts at -2 (b = 7 above the least odd 3)
+    cert = enumerate_symmetric_doubles(S1, 11).members[0]
+    member = {**jsonio.family_to_dict(enumerate_symmetric_doubles(S1, 11))["members"][0],
+              "spec": jsonio.spec_to_dict(decompose(cert.double, 7))}
+    fams.append(jsonio.family_from_dict(through_json({
+        "base": jsonio.semigroup_to_dict(S1), "exhaustive": False, "members": [member]})))
+    # a hand-built family whose specs are not over its base
+    fams.append(DoubleFamily(S2, enumerate_odd_doubles(S1, 61).members, False))
+    return fams
+
+
+def test_family_writer_matches_json_dumps_on_large_and_odd_shaped_families():
+    fams = _writer_cases()
+    assert [len(fam.members) for fam in fams[:3]] == [996, 2757, 59]
+    assert fams[6].members[0].spec.ideal.min_element == -2
+    for fam in fams:
+        text, ref = written(fam), json.dumps(jsonio.family_to_dict(fam), sort_keys=True)
+        # compared up front: a failing assert on texts of megabytes takes
+        # minutes to diff
+        same = text == ref
+        at = next((i for i, (a, b) in enumerate(zip(text, ref)) if a != b), len(ref))
+        assert same, f"differs at {at}: {text[at - 30:at + 30]!r} != {ref[at - 30:at + 30]!r}"

@@ -319,3 +319,59 @@ def test_pseudo_frobenius_window_reaches_largest_generator():
     assert s.minimal_generators == (6, 7, 9, 10, 11)
     assert s.pseudo_frobenius == (3, 4, 5, 8)
     assert classify(s) == oracle.brute_classify(s)
+
+
+def _naive_pf(s):
+    """The gaps x with x + y in S for every nonzero member y, by the definition.
+
+    For y >= c, x + y > f is a member, so y stops at c.  Empty for the
+    naturals, whose PF mask is 0 by convention.
+    """
+    c = s.conductor
+    member = bytearray(c + 1)
+    for x in s.small_elements:
+        member[x] = 1
+    member[c] = 1
+    nonzero = [y for y in range(1, c + 1) if member[y]]
+    return [x for x in s.gaps
+            if all(x + y >= c or member[x + y] for y in nonzero)]
+
+
+def _naive_second_type(s):
+    gaps = set(s.gaps)
+    return [x for x in gaps if s.frobenius - x in gaps]
+
+
+def _pf_mask_cases():
+    """The naturals, symmetric and pseudo-symmetric S, a conductor on
+    either side of _APERY_SPAN, every S with f <= 12, and large symmetric
+    and odd-type doubles."""
+    cases = [NATURALS, S2, NumericalSemigroup.from_generators([3, 5]), S1,
+             NumericalSemigroup.from_generators([3, 4, 5]),
+             NumericalSemigroup.from_generators([2, 513]),   # c = 512
+             NumericalSemigroup.from_generators([2, 515])]   # c = 514
+    cases += [s for f in (-1, *range(1, 13)) for s in oracle.enum_semigroups_with_frobenius(f)]
+    for gens, enumerate_doubles, bound in (([3, 5, 7], enumerate_symmetric_doubles, 2001),
+                                           ([4, 6, 7, 9], enumerate_odd_doubles, 801)):
+        fam = enumerate_doubles(NumericalSemigroup.from_generators(gens), bound)
+        cases += [cert.double for cert in fam.members]
+    return cases
+
+
+def test_pf_mask_matches_the_definition():
+    cases = _pf_mask_cases()
+    assert [classify(s).symmetry_class for s in cases[:5]] == [
+        "symmetric", "symmetric", "symmetric", "pseudo-symmetric", "pseudo-symmetric"]
+    assert [s.conductor for s in cases[5:7]] == [semigroup._APERY_SPAN, semigroup._APERY_SPAN + 2]
+    assert max(s.conductor for s in cases) == 2002
+    for s in cases:
+        assert s._pf_mask == sum(1 << x for x in _naive_pf(s)), str(s)
+
+
+def test_pf_lies_in_the_second_type_gaps_and_f():
+    n = 0
+    for f in (-1, *range(1, 13)):
+        for s in oracle.enum_semigroups_with_frobenius(f):
+            n += 1
+            assert set(_naive_pf(s)) <= {*_naive_second_type(s), f}, str(s)
+    assert n == 171
