@@ -67,10 +67,6 @@ def _semigroup(args) -> NumericalSemigroup:
     raise UsageError("a semigroup is required: --gens a,b,c or --small ... --conductor N")
 
 
-def _ideal(args, ambient):
-    return relative_ideal(ambient, args.ideal, args.ideal_conductor)
-
-
 def _emit(args, text: Callable[[], Iterable[str]], human: Callable[[], Iterable[str]]) -> None:
     """Under --json, write the chunks of ``text()`` as one line; else print the lines of ``human()``.
 
@@ -90,6 +86,15 @@ def _emit(args, text: Callable[[], Iterable[str]], human: Callable[[], Iterable[
 def _json(data: dict) -> tuple[str]:
     """``data`` as compact, key-sorted JSON text, in one chunk."""
     return (json.dumps(data, sort_keys=True),)
+
+
+def _double_json(spec: DuplicationSpec, t: NumericalSemigroup, report) -> tuple[str]:
+    """The --json text of a spec, its double ``t`` and ``t``'s report."""
+    return _json({
+        "spec": jsonio.spec_to_dict(spec),
+        "double": jsonio.semigroup_to_dict(t),
+        "report": jsonio.report_to_dict(report),
+    })
 
 
 def _fmt_ints(xs) -> str:
@@ -141,14 +146,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_double(args) -> int:
     s = _semigroup(args)
-    spec = DuplicationSpec(s, _ideal(args, s), args.b)
+    spec = DuplicationSpec(s, relative_ideal(s, args.ideal, args.ideal_conductor), args.b)
     t = duplicate(spec)
     report = classify(t)
-    _emit(args, lambda: _json({
-        "spec": jsonio.spec_to_dict(spec),
-        "double": jsonio.semigroup_to_dict(t),
-        "report": jsonio.report_to_dict(report),
-    }), lambda: [
+    _emit(args, lambda: _double_json(spec, t, report), lambda: [
         f"base                {s}",
         f"ideal               {spec.ideal}",
         f"offset              {spec.odd_offset}",
@@ -206,11 +207,7 @@ def _cmd_witness(args) -> int:
     spec = doubles_mod.witness_even_double(s)
     t = duplicate(spec)
     report = classify(t)
-    _emit(args, lambda: _json({
-        "spec": jsonio.spec_to_dict(spec),
-        "double": jsonio.semigroup_to_dict(t),
-        "report": jsonio.report_to_dict(report),
-    }), lambda: [
+    _emit(args, lambda: _double_json(spec, t, report), lambda: [
         f"base                {s}",
         f"offset              {spec.odd_offset}",
         f"ideal               {spec.ideal}",

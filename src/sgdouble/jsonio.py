@@ -13,10 +13,13 @@ family     {"base": semigroup, "exhaustive": bool,
 time, without building the dict.
 
 The decoders raise :class:`SemigroupError` on malformed input: a value that
-is not an object, a missing key, or a field of the wrong JSON type.  A
-family member must also be the duplication of its spec, over the family's
-base, its class must be one of the three kinds and fit the member, and its
-type must be the member's.
+is not an object, a missing key, a field of the wrong JSON type, or a
+semigroup the constructor rejects.  Each fact is checked once.  A family's
+base is validated once; a member's spec must name the base and pass the
+ideal and sum checks over it; its T must list the integers of the spec's
+duplicate, in any order, and its conductor, and is not rebuilt; its class
+must be one of the three kinds and fit the member, and its type must be
+the member's.
 """
 
 from __future__ import annotations
@@ -70,9 +73,11 @@ def semigroup_to_dict(s: NumericalSemigroup) -> dict:
 
 
 def semigroup_from_dict(d: dict) -> NumericalSemigroup:
-    return NumericalSemigroup.from_small_elements(
-        _ints(d, "small"), _field(d, "conductor", int)
-    )
+    small, conductor = _ints(d, "small"), _field(d, "conductor", int)
+    try:
+        return NumericalSemigroup.from_small_elements(small, conductor)
+    except ValueError as exc:  # the constructor's structural checks
+        raise SemigroupError(f"malformed JSON: {exc}") from None
 
 
 def ideal_to_dict(e: RelativeIdeal) -> dict:
@@ -84,13 +89,8 @@ def ideal_to_dict(e: RelativeIdeal) -> dict:
 
 
 def ideal_from_dict(d: dict) -> RelativeIdeal:
-    return _ideal_from_dict(d, semigroup_from_dict)
-
-
-def _ideal_from_dict(d: dict, semigroup) -> RelativeIdeal:
-    """The ideal of ``d``, its ambient decoded by ``semigroup``."""
     return relative_ideal(
-        semigroup(_field(d, "ambient", dict)),
+        semigroup_from_dict(_field(d, "ambient", dict)),
         _ints(d, "elements"),
         _field(d, "conductor", int),
     )
@@ -105,14 +105,9 @@ def spec_to_dict(spec: DuplicationSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> DuplicationSpec:
-    return _spec_from_dict(d, semigroup_from_dict)
-
-
-def _spec_from_dict(d: dict, semigroup) -> DuplicationSpec:
-    """The spec of ``d``, its base and its ideal's ambient decoded by ``semigroup``."""
     return DuplicationSpec(
-        semigroup(_field(d, "s", dict)),
-        _ideal_from_dict(_field(d, "e", dict), semigroup),
+        semigroup_from_dict(_field(d, "s", dict)),
+        ideal_from_dict(_field(d, "e", dict)),
         _field(d, "b", int),
     )
 
@@ -229,35 +224,49 @@ def family_json_chunks(fam: DoubleFamily) -> Iterator[str]:
 
 
 def family_from_dict(d: dict) -> DoubleFamily:
+    """The family of ``d``, each fact checked once; a bad member is named by its position.
+
+    A member's T is not rebuilt: it must list the integers of its spec's
+    duplicate, as a set, and its conductor.
+    """
     base_dict = _field(d, "base", dict)
     base = semigroup_from_dict(base_dict)
     small, conductor = base_dict["small"], base_dict["conductor"]
 
-    # each member's spec names the base twice: decoded once, here, and
-    # reused wherever a dict lists the same integers
-    def semigroup(x) -> NumericalSemigroup:
+    def is_base(x) -> bool:
+        # the base's own integers, or another listing of the same set
         if _ints(x, "small") == small and _field(x, "conductor", int) == conductor:
-            return base
-        return semigroup_from_dict(x)
+            return True
+        return semigroup_from_dict(x) == base
 
     members = []
-    for m in _field(d, "members", list):
-        spec = _spec_from_dict(_field(m, "spec", dict), semigroup)
-        t = semigroup_from_dict(_field(m, "t", dict))
+    for i, m in enumerate(_field(d, "members", list)):
+        spec_dict = _field(m, "spec", dict)
+        e_dict = _field(spec_dict, "e", dict)
+        if not (is_base(_field(spec_dict, "s", dict)) and is_base(_field(e_dict, "ambient", dict))):
+            raise SemigroupError(f"malformed JSON: the spec of member {i} is not over the base")
+        spec = DuplicationSpec(
+            base,
+            relative_ideal(base, _ints(e_dict, "elements"), _field(e_dict, "conductor", int)),
+            _field(spec_dict, "b", int),
+        )
+        t_dict = _field(m, "t", dict)
+        t = duplicate(spec)
+        listed, expected = _ints(t_dict, "small"), list(t.small_elements)
+        # compared as sets; the encoder's sorted listing is equal as a list
+        if (_field(t_dict, "conductor", int) != t._c
+                or listed != expected and set(listed) != set(expected)):
+            raise SemigroupError(f"malformed JSON: member {i} is not the duplication of its spec")
         kind = _field(m, "class", str)
         typ = _field(m, "type", int)
-        if spec.base != base:
-            raise SemigroupError(f"malformed JSON: the spec of member {t} is not over the base")
-        if duplicate(spec) != t:
-            raise SemigroupError(f"malformed JSON: member {t} is not the duplication of its spec")
         cert = _certificate(t, spec, kind)
         almost = cert.symmetry_class != NOT_ALMOST_SYMMETRIC
         fits = {KIND_SYMMETRIC: cert.symmetry_class == SYMMETRIC,
                 KIND_ODD: almost and cert.type % 2 == 1,
                 KIND_EVEN: almost and cert.type % 2 == 0}
         if not fits.get(kind):
-            raise SemigroupError(f"malformed JSON: class {kind!r} does not fit member {t}")
+            raise SemigroupError(f"malformed JSON: class {kind!r} does not fit member {i}")
         if typ != cert.type:
-            raise SemigroupError(f"malformed JSON: type {typ} is not the type of member {t}")
+            raise SemigroupError(f"malformed JSON: type {typ} is not the type of member {i}")
         members.append(cert)
     return DoubleFamily(base, tuple(members), _field(d, "exhaustive", bool))

@@ -222,10 +222,6 @@ class _UpSet:
     def __contains__(self, x: int) -> bool:
         return x >= self._c or (x >= self._lo and self._mask >> (x - self._lo) & 1 == 1)
 
-    def members_below(self, hi: int) -> list[int]:
-        """Sorted members below ``hi``."""
-        return list(_bits(self._window(self._lo, hi), self._lo))
-
     @property
     def frobenius(self) -> int:
         """Largest integer outside the set (-1 for the naturals)."""
@@ -460,29 +456,6 @@ class ClassificationReport:
     @property
     def pseudo_symmetric(self) -> bool:
         return self.symmetry_class == PSEUDO_SYMMETRIC
-
-
-# Two more characterizations of almost symmetry, equivalent to the definition
-# that _symmetry_class tests: the reference implementations the tests hold it to.
-def _almost_symmetric_by_reflection(s: NumericalSemigroup, pf: int, ell: int) -> bool:
-    # x in S  <=>  f - x not in S union PF(S), for every nonzero integer x.
-    # Outside [1, f] both sides agree: for x < 0, x is not in S while f - x
-    # > f is; for x > f, x is in S while f - x < 0 is neither in S nor in
-    # PF(S), whose members are gaps (the naturals' PF = (-1,) would need
-    # x = 0).  On [1, f] the right side is the complement of the mirror
-    # image of S union PF(S) on [0, f], so S and that mirror image must
-    # split [1, f] between them.
-    c = s.conductor
-    mirror = _reverse(s._mask | pf, c)
-    window = ((1 << c) - 1) & ~1
-    return (s._mask ^ mirror) & window == window
-
-
-def _almost_symmetric_by_pairing(s: NumericalSemigroup, pf: int, ell: int) -> bool:
-    # with PF = {f_1 < ... < f_{t-1} < f}: f_i + f_{t-i} == f for all i, that
-    # is, the mirror x -> f - x on [0, f] maps PF \ {f} onto itself, and so
-    # PF | {0}, as 0 and f pair up.  The naturals (PF mask 0) pass.
-    return not pf or _reverse(pf | 1, s.conductor) == pf | 1
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

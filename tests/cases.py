@@ -8,7 +8,7 @@ decomposition with a proper ideal.
 """
 
 from sgdouble import NumericalSemigroup, naturals_ideal, relative_ideal
-from sgdouble.semigroup import _almost_symmetric_by_pairing, _almost_symmetric_by_reflection
+from sgdouble.semigroup import _reverse
 
 S1 = NumericalSemigroup.from_generators([3, 5, 7])                 # {0, 3, 5->}
 S2 = NumericalSemigroup.from_small_elements([0, 4, 5, 6], 8)       # symmetric
@@ -28,12 +28,36 @@ K1 = relative_ideal(S1, [0, 2, 3], 5)   # standard canonical ideal of S1
 F2 = relative_ideal(S2, [2, 3, 4], 6)   # {2, 3, 4, 6->} over S2
 
 
+# Two more characterizations of almost symmetry, equivalent to the definition
+# that semigroup._symmetry_class tests: the reference implementations the
+# tests hold it to.  Each reads S and its PF mask ``pf``.
+def _almost_symmetric_by_reflection(s, pf: int) -> bool:
+    # x in S  <=>  f - x not in S union PF(S), for every nonzero integer x.
+    # Outside [1, f] both sides agree: for x < 0, x is not in S while f - x
+    # > f is; for x > f, x is in S while f - x < 0 is neither in S nor in
+    # PF(S), whose members are gaps (the naturals' PF = (-1,) would need
+    # x = 0).  On [1, f] the right side is the complement of the mirror
+    # image of S union PF(S) on [0, f], so S and that mirror image must
+    # split [1, f] between them.
+    c = s.conductor
+    mirror = _reverse(s._mask | pf, c)
+    window = ((1 << c) - 1) & ~1
+    return (s._mask ^ mirror) & window == window
+
+
+def _almost_symmetric_by_pairing(s, pf: int) -> bool:
+    # with PF = {f_1 < ... < f_{t-1} < f}: f_i + f_{t-i} == f for all i, that
+    # is, the mirror x -> f - x on [0, f] maps PF \ {f} onto itself, and so
+    # PF | {0}, as 0 and f pair up.  The naturals (PF mask 0) pass.
+    return not pf or _reverse(pf | 1, s.conductor) == pf | 1
+
+
 def criteria(s):
     """Almost symmetry of ``s`` by the reflection and by the pairing characterization.
 
     ``classify`` decides it by the definition, L(S) inside PF(S); the tests
     hold these two reference implementations equal to it.
     """
-    pf, ell = s._pf_mask, s._second_type_mask
-    return {c.__name__: c(s, pf, ell)
+    pf = s._pf_mask
+    return {c.__name__: c(s, pf)
             for c in (_almost_symmetric_by_reflection, _almost_symmetric_by_pairing)}

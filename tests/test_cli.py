@@ -187,6 +187,52 @@ def test_witness_even(capsys):
     assert data["double"] == {"small": [0, 5, 6, 7], "conductor": 9}
 
 
+_S1_JSON = '{"conductor": 5, "small": [0, 3]}'
+_PINNED_SPEC_OUTPUT = [
+    (["witness-even", "--gens", "3,5,7"],
+     "base                {0, 3, 5->}\n"
+     "offset              5\n"
+     "ideal               {0->}\n"
+     "double              {0, 5, 6, 7, 9->}\n"
+     "symmetry class      pseudo-symmetric (type 2)\n",
+     '{"double": {"conductor": 9, "small": [0, 5, 6, 7]}, "report": {"frobenius": 8, '
+     '"gaps": [1, 2, 3, 4, 8], "pseudo_frobenius": [4, 8], "second_type_gaps": [4], '
+     '"symmetry_class": "pseudo-symmetric", "type": 2}, "spec": {"b": 5, "e": {"ambient": '
+     + _S1_JSON + ', "conductor": 0, "elements": []}, "s": ' + _S1_JSON + '}}\n'),
+    (["double", "--gens", "3,5,7", "--ideal", "0,2", "--ideal-conductor", "3", "--b", "3"],
+     "base                {0, 3, 5->}\n"
+     "ideal               {0, 2->}\n"
+     "offset              3\n"
+     "double              {0, 3, 6, 7, 9->}\n"
+     "frobenius           8\n"
+     "symmetry class      pseudo-symmetric (type 2)\n",
+     '{"double": {"conductor": 9, "small": [0, 3, 6, 7]}, "report": {"frobenius": 8, '
+     '"gaps": [1, 2, 4, 5, 8], "pseudo_frobenius": [4, 8], "second_type_gaps": [4], '
+     '"symmetry_class": "pseudo-symmetric", "type": 2}, "spec": {"b": 3, "e": {"ambient": '
+     + _S1_JSON + ', "conductor": 2, "elements": [0]}, "s": ' + _S1_JSON + '}}\n'),
+    # an ideal with a negative member
+    (["double", "--gens", "3,5,7", "--ideal=-1", "--ideal-conductor", "1", "--b", "5"],
+     "base                {0, 3, 5->}\n"
+     "ideal               {-1, 1->}\n"
+     "offset              5\n"
+     "double              {0, 3, 6, 7, 9->}\n"
+     "frobenius           8\n"
+     "symmetry class      pseudo-symmetric (type 2)\n",
+     '{"double": {"conductor": 9, "small": [0, 3, 6, 7]}, "report": {"frobenius": 8, '
+     '"gaps": [1, 2, 4, 5, 8], "pseudo_frobenius": [4, 8], "second_type_gaps": [4], '
+     '"symmetry_class": "pseudo-symmetric", "type": 2}, "spec": {"b": 5, "e": {"ambient": '
+     + _S1_JSON + ', "conductor": 1, "elements": [-1]}, "s": ' + _S1_JSON + '}}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, human, text", _PINNED_SPEC_OUTPUT,
+                         ids=["witness-even", "double", "double-negative-ideal"])
+def test_double_and_witness_even_output_is_pinned(capsys, argv, human, text):
+    # the golden sweep runs neither command: their exact stdout, both forms
+    assert run(capsys, *argv) == (0, human, "")
+    assert run(capsys, *argv, "--json") == (0, text, "")
+
+
 def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "enumerate-doubles", "--gens", "3,5,7", "--parity", "even")
     _, second, _ = run(capsys, "enumerate-doubles", "--gens", "3,5,7", "--parity", "even")

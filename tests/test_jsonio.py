@@ -77,8 +77,9 @@ def test_family_decoding_leaves_the_classify_memo_alone():
 
 
 def test_family_decoding_validates_the_base_once(monkeypatch):
-    # the base once, then each member T; every spec's s and ideal ambient
-    # list the base's integers and reuse it
+    # the base is the only semigroup decoded: every spec's s and ideal
+    # ambient list the base's integers and reuse it, and each member's T is
+    # compared with its spec's duplicate, not rebuilt
     fam = enumerate_symmetric_doubles(S1, 60)
     d = through_json(jsonio.family_to_dict(fam))
     decoded = []
@@ -90,7 +91,70 @@ def test_family_decoding_validates_the_base_once(monkeypatch):
 
     monkeypatch.setattr(NumericalSemigroup, "from_small_elements", classmethod(counted))
     assert jsonio.family_from_dict(d) == fam
-    assert decoded == [S1.conductor, *(c.double.conductor for c in fam.members)]
+    assert decoded == [S1.conductor]
+
+
+def _decoder_families():
+    return [enumerate_symmetric_doubles(S1, 201),
+            enumerate_odd_doubles(NumericalSemigroup.from_generators([4, 6, 7, 9]), 101),
+            enumerate_even_doubles(T1)]
+
+
+def _with_t(d, i, **t):
+    """The family dict ``d`` with member ``i``'s T updated by ``t``."""
+    members = list(d["members"])
+    members[i] = {**members[i], "t": {**members[i]["t"], **t}}
+    return {**d, "members": members}
+
+
+def test_family_decoding_accepts_any_listing_of_each_double():
+    # T is compared with its spec's duplicate as a set: reversed or repeated
+    # lists decode as the validating constructor reads them
+    for fam in _decoder_families():
+        d = through_json(jsonio.family_to_dict(fam))
+        assert fam.members
+        for listing in (lambda small: small[::-1],
+                        lambda small: [*small, small[len(small) // 2]]):
+            relisted = {**d, "members": [{**m, "t": {**m["t"], "small": listing(m["t"]["small"])}}
+                                         for m in d["members"]]}
+            assert jsonio.family_from_dict(relisted) == fam
+
+
+def _malformed_t_cases(t):
+    """Corruptions of a member's T dict ``t``, each no longer its spec's duplicate."""
+    small, c = t["small"], t["conductor"]
+    gap = next(x for x in range(c) if x not in small)
+    return {
+        "at the conductor": {"small": [*small, c]},
+        "past the conductor": {"small": [*small, c + 1]},
+        "no 0": {"small": small[1:]},
+        "a member dropped": {"small": small[:-1]},
+        "a gap added": {"small": sorted([*small, gap])},
+        "conductor + 1": {"conductor": c + 1},
+        "conductor - 1": {"conductor": c - 1},
+        "conductor -1": {"conductor": -1},
+        "conductor 10**12": {"conductor": 10**12},
+    }
+
+
+@pytest.mark.parametrize("family", range(3))
+def test_family_decoding_rejects_a_member_t_that_is_not_the_duplicate(family):
+    d = through_json(jsonio.family_to_dict(_decoder_families()[family]))
+    last = len(d["members"]) - 1
+    for name, change in _malformed_t_cases(d["members"][last]["t"]).items():
+        with pytest.raises(SemigroupError, match=f"malformed JSON: member {last} ") as exc:
+            jsonio.family_from_dict(_with_t(d, last, **change))
+        assert type(exc.value) is SemigroupError, name
+
+
+def test_family_decoding_rejects_a_foreign_ideal_ambient():
+    d = through_json(jsonio.family_to_dict(enumerate_even_doubles(S1)))
+    members = list(d["members"])
+    spec = members[1]["spec"]
+    members[1] = {**members[1], "spec": {**spec, "e": {
+        **spec["e"], "ambient": jsonio.semigroup_to_dict(S2)}}}
+    with pytest.raises(SemigroupError, match="malformed JSON: the spec of member 1 "):
+        jsonio.family_from_dict({**d, "members": members})
 
 
 def written(fam):
@@ -199,6 +263,11 @@ def _malformed_cases():
         (jsonio.family_from_dict, {**family, "members": [
             {**first, "spec": {**first["spec"], "e": {
                 **first["spec"]["e"], "ambient": {**sg, "small": [False, 3]}}}}]}),
+        # rejected by the constructor's structural checks
+        (jsonio.semigroup_from_dict, {"small": [0, 20], "conductor": 9}),
+        (jsonio.semigroup_from_dict, {"small": [0], "conductor": -1}),
+        (jsonio.semigroup_from_dict, {"small": [-1, 0], "conductor": 3}),
+        (jsonio.semigroup_from_dict, {"small": [0, 3], "conductor": 0}),
     ]
 
 

@@ -207,9 +207,8 @@ def test_maximal_ideal_self_difference_identity():
     for s in _small_semigroups(9):
         m = maximal_ideal(s)
         pf = () if s.is_naturals else s.pseudo_frobenius
-        bound = max(s.conductor, 1)
-        members = sorted(set(s.members_below(bound)) | set(pf))
-        assert (m - m) == relative_ideal(s, members, bound)
+        members = sorted(set(s.small_elements) | set(pf))
+        assert (m - m) == relative_ideal(s, members, s.conductor)
         assert is_numerical_semigroup_set(m - m)
 
 
