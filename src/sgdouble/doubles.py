@@ -109,14 +109,14 @@ class OddConditionReport:
         return self.frobenius_matches and self.sandwich and self.dual_is_semigroup
 
 
-#: What the checks need of S besides S itself: M, the sandwich's lower
-#: bound K - (M - M), M - K and the odd-type window W.
-_BaseContext = namedtuple("_BaseContext", "m kmm mk window")
+#: What the odd-type checks need of S besides S itself: the sandwich's lower
+#: bound K - (M - M), M - K and the window W.
+_BaseContext = namedtuple("_BaseContext", "kmm mk window")
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _base_context(s: NumericalSemigroup) -> _BaseContext:
-    """M, K - (M - M), M - K and W, K the canonical ideal and M the maximal one.
+    """K - (M - M), M - K and W, K the canonical ideal and M the maximal one.
 
     The offset condition b + shift + E + K <= M of an odd-type double with
     spec (S, E, b), shift = f(E) - f(S), says that E lies inside
@@ -131,7 +131,7 @@ def _base_context(s: NumericalSemigroup) -> _BaseContext:
     m = maximal_ideal(s)
     kmm = k - (m - m)
     mk = m - k
-    return _BaseContext(m, kmm, mk, mk - kmm)
+    return _BaseContext(kmm, mk, mk - kmm)
 
 
 def _odd_ideals(s: NumericalSemigroup):
@@ -195,7 +195,7 @@ def odd_double_check(spec: DuplicationSpec) -> bool:
 
 
 def _even_ideals(s: NumericalSemigroup):
-    """For each f(E) = fe, the ideals at fe with K <= E - E, that is E + K <= E (0 is in E).
+    """For each f(E) = fe, the masks of the ideals at fe with K <= E - E: E + K <= E, as 0 is in E.
 
     E then holds every sum of members of K, so that additive closure,
     computed once here, is the lower bound of the walk, and the walk closes
@@ -205,7 +205,7 @@ def _even_ideals(s: NumericalSemigroup):
     closure = k
     while (grown := closure + k) != closure:
         closure = grown
-    return lambda fe: _ideals_between(s, fe, closure, k)
+    return lambda fe: _ideal_masks_between(s, fe, closure, k)
 
 
 def _sum_offsets(s: NumericalSemigroup, e: RelativeIdeal) -> RelativeIdeal:
@@ -213,19 +213,43 @@ def _sum_offsets(s: NumericalSemigroup, e: RelativeIdeal) -> RelativeIdeal:
     return unit_ideal(s) - (e + e)
 
 
-def _even_ideal_part(s: NumericalSemigroup, e: RelativeIdeal, bs) -> list[int]:
-    """The offsets of ``bs`` that pass the even-type check of E with K <= E - E.
+def _even_ideal_part(s: NumericalSemigroup):
+    """The even-type offset test over ``s``: ``part(x, c, bs)``, the offsets of ``bs`` E accepts.
 
-    The condition M - E <= (E - M) + b on the offset b, together with the
-    sum condition E + E + b <= S, which every valid spec meets: the
-    memberships of -b in (E - M) - (M - E) and of b in ``_sum_offsets``,
-    ideals computed once for all of ``bs``.  Assumes ``s`` is almost
-    symmetric.
+    E is the ideal with smallest member 0, conductor c and members below c
+    the bits of ``x``.  Each positive b of ``bs`` is kept when it meets the
+    condition M - E <= (E - M) + b and the sum condition E + E + b <= S,
+    which every valid spec meets.  The second reads
+    b + E <= M - E: b + E misses 0, and S - E is M - E plus 0 when E = S.
+    Masks with every bit from a conductor on set stand for E, M, E - M and
+    M - E, so each condition is one mask test per b.  S and M are read once
+    here; per E, with m = m(S), E - M costs an AND per minimal generator g
+    of S with g - m < c, and M - E one per member of E's Apery set
+    E \\ (E + m), as x + E <= M when x + a is in M for each such a.
+    Assumes ``s`` is almost symmetric.
     """
-    m = _base_context(s).m
-    offsets = (e - m) - (m - e)
-    sums = _sum_offsets(s, e)
-    return [b for b in bs if -b in offsets and b in sums]
+    m = s.multiplicity
+    members = s._mask & ~1 | -1 << max(s._c, 1)  # M
+    steps = [g - m for g in s.minimal_generators[1:]]  # the generators past m, less m
+
+    def part(x: int, c: int, bs) -> list[int]:
+        e = x | -1 << c
+        # E - M: bit i for i - m, a member when i - m + g is in E for each g
+        e_m = e
+        for step in steps:
+            if step >= c:  # i - m + g >= c for every i >= 0
+                break
+            e_m &= e >> step
+        m_e = members
+        apery = e & ~(e << m)
+        while apery:
+            low = apery & -apery
+            m_e &= members >> low.bit_length() - 1
+            apery ^= low
+        # b + E <= M - E puts b in M, so b - m >= 0 in the second test
+        return [b for b in bs if not e << b & ~m_e and not m_e & ~(e_m << b - m)]
+
+    return part
 
 
 def even_double_check(spec: DuplicationSpec) -> bool:
@@ -234,16 +258,20 @@ def even_double_check(spec: DuplicationSpec) -> bool:
     Only meaningful under the hypothesis 2 f(S) > 2 f(E) + offset, which
     forces an even Frobenius number on the double; outside it the question
     belongs to ``odd_double_check`` and this raises
-    :class:`HypothesisViolated` rather than guessing.
+    :class:`HypothesisViolated` rather than guessing.  The spec is first
+    normalized, (E, b) to (E - m(E), b + 2 m(E)): K <= E - E, the offset
+    condition and the sum condition are unchanged by it.
     """
     s, e, b = spec.base, spec.ideal, spec.odd_offset
     if 2 * s.frobenius <= 2 * e.frobenius + b:
         raise HypothesisViolated(
             "even-type check requires 2 f(S) > 2 f(E) + offset"
         )
-    if not classify(s).almost_symmetric:
+    if not classify(s).almost_symmetric or not canonical_ideal(s) <= e - e:
         return False
-    return canonical_ideal(s) <= e - e and _even_ideal_part(s, e, (b,)) == [b]
+    lo = e.min_element
+    b += 2 * lo  # lo + lo + b, in S by the sum condition
+    return _even_ideal_part(s)(e._mask, e._c - lo, (b,)) == [b]
 
 
 # -- search space -------------------------------------------------------------
@@ -389,9 +417,20 @@ def _family(base: NumericalSemigroup, specs, kind: str, exhaustive: bool) -> Dou
     (T/2, {x : 2x + b in T}, b), b the least odd member of T, and the
     symmetric enumerator gives one spec per f(T).
     """
-    members = sorted((_certificate(duplicate(spec), spec, kind) for spec in specs),
-                     key=lambda cert: (cert.double._c, _list_order(cert.double._mask)))
-    return DoubleFamily(base, tuple(members), exhaustive)
+    certs = [_certificate(duplicate(spec), spec, kind) for spec in specs]
+    # members of one conductor are ordered by their element lists; a
+    # conductor no other member has, as each of the symmetric family's, needs
+    # no such key
+    seen, shared = set(), set()
+    for cert in certs:
+        c = cert.double._c
+        (shared if c in seen else seen).add(c)
+
+    def key(cert):
+        c = cert.double._c
+        return c, _list_order(cert.double._mask) if c in shared else ""
+
+    return DoubleFamily(base, tuple(sorted(certs, key=key)), exhaustive)
 
 
 # -- enumerators --------------------------------------------------------------
@@ -443,7 +482,7 @@ def enumerate_odd_doubles(s: NumericalSemigroup, max_frobenius: int) -> DoubleFa
     """
     _check_bound(s, max_frobenius)
     f = s.frobenius
-    _, kmm, mk, window = _base_context(s)
+    kmm, mk, window = _base_context(s)
     # 2 f(S) < f(T) = 2 f(E) + b <= max_frobenius
     in_window = _offsets(s, [t for t in range(2 * f + 1, max_frobenius + 1, 2)
                              if t - 2 * f in window])
@@ -466,9 +505,14 @@ def enumerate_even_doubles(s: NumericalSemigroup) -> DoubleFamily:
     """
     if s.is_naturals or not classify(s).almost_symmetric:
         return DoubleFamily(s, (), True)
-    f = s.frobenius
     # 2 f(E) + b < 2 f(S)
-    specs = _specs(s, _offsets(s, range(-1, 2 * f, 2)), _even_ideals(s), _even_ideal_part)
+    offsets = _offsets(s, range(-1, 2 * s.frobenius, 2))
+    masks, part = _even_ideals(s), _even_ideal_part(s)
+    # E is built only for a mask with an accepted offset, once
+    specs = (DuplicationSpec._of(s, e, b)
+             for fe in (-1, *s.gaps) if (bs := offsets(fe))
+             for x in masks(fe) if (accepted := part(x, fe + 1, bs))
+             for e in (_build(s, x, 0, fe + 1),) for b in accepted)
     return _family(s, specs, KIND_EVEN, True)
 
 

@@ -8,6 +8,8 @@ decomposition with a proper ideal.
 """
 
 from sgdouble import NumericalSemigroup, naturals_ideal, relative_ideal
+from sgdouble.doubles import _sum_offsets
+from sgdouble.ideals import maximal_ideal
 from sgdouble.semigroup import _reverse
 
 S1 = NumericalSemigroup.from_generators([3, 5, 7])                 # {0, 3, 5->}
@@ -61,3 +63,16 @@ def criteria(s):
     pf = s._pf_mask
     return {c.__name__: c(s, pf)
             for c in (_almost_symmetric_by_reflection, _almost_symmetric_by_pairing)}
+
+
+def even_offsets_by_composition(s, e, bs):
+    """The offsets b of ``bs`` that pass the even-type test of E, m(E) = 0, by ideal operations.
+
+    -b in (E - M) - (M - E) is the condition M - E <= (E - M) + b, and b in
+    S - (E + E) the sum condition: the reference the tests hold
+    ``doubles._even_ideal_part``'s mask tests to.
+    """
+    m = maximal_ideal(s)
+    offsets = (e - m) - (m - e)
+    sums = _sum_offsets(s, e)
+    return [b for b in bs if -b in offsets and b in sums]

@@ -30,6 +30,7 @@ from sgdouble.errors import (
     NotAlmostSymmetric,
 )
 from sgdouble.ideals import (
+    _build,
     canonical_ideal,
     is_numerical_semigroup_set,
     maximal_ideal,
@@ -37,7 +38,7 @@ from sgdouble.ideals import (
 )
 from sgdouble.semigroup import canonical_key
 
-from cases import D1, D2, D3, E1, E2, F2, S1, S2, ST1, T1, T2
+from cases import D1, D2, D3, E1, E2, F2, S1, S2, ST1, T1, T2, even_offsets_by_composition
 
 NAT_SPEC = DuplicationSpec(NATURALS, naturals_ideal(NATURALS), 1)
 
@@ -267,6 +268,7 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
         k = canonical_ideal(s)
         m = maximal_ideal(s)
         kmm = k - (m - m)
+        part = doubles._even_ideal_part(s)
         for fe in (-1, *range(1, f + 1)):
             pool = ideals_with_frobenius(s, fe)
             total += 2 * len(pool)
@@ -292,12 +294,12 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
                     assert (b in accepted) == (shifted_sum.translate(b) <= m), (s, e, b)
                     assert b not in accepted or sum_violation(s, e, b) is None, (s, e, b)
                     tried += 1
-            even = doubles._even_ideals(s)(fe)
+            even = [_build(s, x, 0, fe + 1) for x in doubles._even_ideals(s)(fe)]
             assert sorted(even, key=lambda e: e.elements_below) == [
                 e for e in pool if k <= e - e], (s, fe)
             for e in even:
                 even_offsets = range(1, 2 * f - 2 * fe, 2)
-                accepted = doubles._even_ideal_part(s, e, even_offsets)
+                accepted = part(e._mask, fe + 1, even_offsets)
                 for b in even_offsets:
                     offset_old = m - e <= (e - m).translate(b)
                     sum_old = sum_violation(s, e, b) is None
@@ -308,6 +310,53 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
             walked += len(odd) + len(even)
     assert 0 < walked < total / 2
     assert tried == 13818 and dropped > 0
+
+
+def test_even_offset_kernel_matches_the_ideal_composition():
+    # on every ideal the even walk visits, at the offsets the enumerator
+    # tries there: the kernel's two mask tests against -b in (E - M) - (M - E)
+    # and b in S - (E + E), on T1, <7,9>, <9,10>, the two genus-20 bases and
+    # every almost symmetric S with f(S) <= 11
+    named = [(9, 10, 14, 15), (7, 9), (9, 10), (11, 13, 15, 17, 19, 21), (13, 14, 15, 17, 19, 23)]
+    bases = [NumericalSemigroup.from_generators(gens) for gens in named]
+    bases += [s for f in range(1, 12) for s in oracle.enum_semigroups_with_frobenius(f)
+              if classify(s).almost_symmetric]
+    walked = accepted = 0
+    for s in bases:
+        masks, part = doubles._even_ideals(s), doubles._even_ideal_part(s)
+        offsets = doubles._offsets(s, range(-1, 2 * s.frobenius, 2))
+        for fe in (-1, *s.gaps):
+            bs = offsets(fe)
+            for x in masks(fe):
+                e = _build(s, x, 0, fe + 1)
+                kernel = part(x, fe + 1, bs)
+                assert kernel == even_offsets_by_composition(s, e, bs), (s, e)
+                walked += 1
+                accepted += len(kernel)
+    assert (walked, accepted) == (6820, 1331)
+
+
+def test_even_check_is_unchanged_by_translating_the_spec():
+    # (E, b) and (E + mu, b - 2 mu) give the same double, and the check,
+    # which normalizes to m(E) = 0, gives all of them one answer: every
+    # candidate spec under the check's hypothesis for each S with f(S) <= 7,
+    # at each mu with b - 2 mu an odd member of S, up to past its conductor
+    checked, found = 0, set()
+    for s in [s for f in range(1, 8) for s in oracle.enum_semigroups_with_frobenius(f)]:
+        f = s.frobenius
+        for spec in candidate_specs(s, 2 * f):
+            e, b = spec.ideal, spec.odd_offset
+            if 2 * f <= 2 * e.frobenius + b:
+                continue
+            expected = even_double_check(spec)
+            for mu in range(-s.conductor, (b - 1) // 2 + 1):
+                if b - 2 * mu in s:
+                    moved = DuplicationSpec(s, e.translate(mu), b - 2 * mu)
+                    assert even_double_check(moved) == expected, (spec, mu)
+                    checked += 1
+            found.add(expected)
+    assert found == {True, False}
+    assert checked == 1686
 
 
 def _sandwich_bound(s):
@@ -453,7 +502,7 @@ def test_kernel_matches_oracle_at_frobenius_10_to_13():
 
 @pytest.mark.slow
 def test_even_family_matches_oracle_at_frobenius_12_to_15():
-    # the K-closed walk and the one-bit offset and sum tests against the
+    # the K-closed walk and the kernel's mask offset and sum tests against the
     # oracle's brute search, on all 118 almost symmetric S with 12 <= f(S) <= 15
     bases = [s for f in range(12, 16) for s in oracle.enum_semigroups_with_frobenius(f)
              if classify(s).almost_symmetric]
