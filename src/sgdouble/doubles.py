@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .duplication import DuplicationSpec, duplicate, duplication_frobenius, half
 from .errors import BoundTooLarge, BoundTooSmall, HypothesisViolated, IsNaturals, NotAlmostSymmetric
@@ -135,7 +135,7 @@ def _base_context(s: NumericalSemigroup) -> _BaseContext:
 
 
 def _odd_ideals(s: NumericalSemigroup):
-    """For each f(E) = fe, the ideals at fe inside the sandwich K - (M - M) <= tilde(E) <= K.
+    """For each f(E) = fe, the masks of the ideals at fe with K - (M - M) <= tilde(E) <= K.
 
     tilde(E) = E + f(S) - fe, so E contains K - (M - M) + fe - f(S).  The
     other half holds for every relative ideal: x in E with f(E) - x in S
@@ -143,39 +143,45 @@ def _odd_ideals(s: NumericalSemigroup):
     """
     kmm = _base_context(s).kmm
     f = s.frobenius
-    return lambda fe: _ideals_between(s, fe, kmm.translate(fe - f), s)
+    return lambda fe: _ideal_masks_between(s, fe, kmm.translate(fe - f), s)
 
 
-def _odd_offset_ok(s: NumericalSemigroup, e: RelativeIdeal, b: int) -> bool:
-    """True if b + shift + E + K <= M, shift = f(E) - f(S): E inside (M - K) - (b + shift)."""
-    return e <= _base_context(s).mk.translate(s.frobenius - e.frobenius - b)
+def _odd_dual_ok(s: NumericalSemigroup, x: int, c: int) -> bool:
+    """True if K - tilde(E) = {z : f(E) - z not in E}, E's gaps mirrored, is a numerical semigroup.
+
+    E has smallest member 0, conductor c and, below c, the bits of ``x``.
+    """
+    return is_numerical_semigroup_set(_build(s, _reverse(~x & (1 << c) - 1, c), 0, c))
 
 
-def _odd_dual_ok(s: NumericalSemigroup, e: RelativeIdeal) -> bool:
-    """True if K - tilde(E), the reflection dual of tilde(E), is a numerical semigroup."""
-    return is_numerical_semigroup_set(e.tilde().reflection_dual())
+def _odd_ideal_part(s: NumericalSemigroup):
+    """The odd-type offset test over ``s``: ``part(x, c, bs)``, the offsets of ``bs`` E accepts.
 
-
-def _odd_ideal_part(s: NumericalSemigroup, e: RelativeIdeal, bs) -> list[int]:
-    """The offsets of ``bs`` that pass the odd-type check of E inside the walk's sandwich.
-
-    First the offset condition, one inclusion per b (``_odd_offset_ok``);
-    only if some b passes is K - tilde(E) tested.  Each accepted b meets the
-    sum condition: E - shift = tilde(E) <= K gives
+    E, inside the walk's sandwich, is given as to ``_odd_dual_ok``.  Each b of
+    ``bs``, with b + shift > 0 for shift = f(E) - f(S), is kept when
+    b + shift + E + K <= M: one mask test of E + b + shift against M - K,
+    read once here.  Only if some b passes is K - tilde(E) tested.  Each
+    accepted b meets the sum condition: E - shift = tilde(E) <= K gives
     E + E + b <= b + shift + E + K <= M.
     """
-    accepted = [b for b in bs if _odd_offset_ok(s, e, b)]
-    return accepted if accepted and _odd_dual_ok(s, e) else []
+    mk = _base_context(s).mk
+    outside = ~mk._window(0, mk._c) & (1 << mk._c) - 1  # [0, c(M - K)) outside M - K
+
+    def part(x: int, c: int, bs) -> list[int]:
+        e, shift = x | -1 << c, c - 1 - s.frobenius
+        accepted = [b for b in bs if not e << b + shift & outside]
+        return accepted if accepted and _odd_dual_ok(s, x, c) else []
+
+    return part
 
 
 def odd_necessary_conditions(spec: DuplicationSpec) -> OddConditionReport:
-    """Evaluate the three necessary conditions for an odd-type double."""
+    """Evaluate the three necessary conditions for an odd-type double, the last on E - m(E)."""
     s, e, b = spec.base, spec.ideal, spec.odd_offset
-    kmm = _base_context(s).kmm
     return OddConditionReport(
         frobenius_matches=(duplication_frobenius(spec) == 2 * e.frobenius + b),
-        sandwich=kmm <= e.tilde(),  # tilde(E) <= K holds for every relative ideal
-        dual_is_semigroup=_odd_dual_ok(s, e),
+        sandwich=_base_context(s).kmm <= e.tilde(),  # tilde(E) <= K holds for every ideal
+        dual_is_semigroup=_odd_dual_ok(s, e._mask, e._c - e.min_element),
     )
 
 
@@ -183,15 +189,17 @@ def odd_double_check(spec: DuplicationSpec) -> bool:
     """True exactly when the duplication is almost symmetric with odd type.
 
     The necessary conditions plus the offset condition
-    offset + shift + E + K <= M, where shift = f(E) - f(S).
+    offset + shift + E + K <= M, where shift = f(E) - f(S), tested on the
+    spec normalized as in ``even_double_check``, which changes none of them.
     """
     s, e, b = spec.base, spec.ideal, spec.odd_offset
-    kmm = _base_context(s).kmm
     # f(T) = 2 f(E) + b exactly when 2 f(E) + b, an odd number, exceeds 2 f(S);
     # then the sandwich, which the odd enumerator's walk holds
-    if 2 * e.frobenius + b <= 2 * s.frobenius or not kmm <= e.tilde():
+    if 2 * e.frobenius + b <= 2 * s.frobenius or not _base_context(s).kmm <= e.tilde():
         return False
-    return _odd_offset_ok(s, e, b) and _odd_dual_ok(s, e)
+    lo = e.min_element
+    b += 2 * lo  # lo + lo + b, odd and in S by the sum condition: b > 0, so b + shift > 0
+    return _odd_ideal_part(s)(e._mask, e._c - lo, (b,)) == [b]
 
 
 def _even_ideals(s: NumericalSemigroup):
@@ -277,12 +285,6 @@ def even_double_check(spec: DuplicationSpec) -> bool:
 # -- search space -------------------------------------------------------------
 
 
-def _ideals_between(s: NumericalSemigroup, fe: int, need: _UpSet, close: _UpSet,
-                    ) -> list[RelativeIdeal]:
-    """The ideals of ``_ideal_masks_between``, built."""
-    return [_build(s, x, 0, fe + 1) for x in _ideal_masks_between(s, fe, need, close)]
-
-
 def _ideal_masks_between(s: NumericalSemigroup, fe: int, need: _UpSet, close: _UpSet,
                          ) -> list[int]:
     """The masks of the ideals E of ``s`` with m(E) = 0 and f(E) = ``fe`` that contain ``need``.
@@ -365,22 +367,21 @@ def _offsets(s: NumericalSemigroup, targets):
     return lambda fe: [b for t in targets if (b := t - 2 * fe) in s]
 
 
-def _specs(s: NumericalSemigroup, offsets, ideals, ideal_part):
+def _specs(s: NumericalSemigroup, offsets, masks, part):
     """Yield the normalized specs over ``s`` that pass a two-part check.
 
     ``offsets(f(E))`` gives the offsets to try for each f(E), ascending, and
-    an f(E) left with none is not walked.  ``ideals(f(E))`` gives the ideals to
-    check for each f(E).  ``ideal_part(s, e, bs)`` runs once per ideal and
-    returns the offsets of ``bs`` that E accepts; it accepts only offsets
-    with E + E + b <= S, so the specs skip the constructor's checks.
+    an f(E) left with none is not walked.  ``masks(f(E))`` gives the masks of
+    the ideals to check, as ``_ideal_masks_between`` does, and ``part(x, c, bs)``,
+    c = f(E) + 1, the offsets of ``bs`` E accepts, only ones with E + E + b <= S,
+    so the specs skip the constructor's checks.  E is built once, if any passed.
     """
     for fe in (-1, *s.gaps):
-        bs = offsets(fe)
-        if not bs:
-            continue
-        for e in ideals(fe):
-            for b in ideal_part(s, e, bs):
-                yield DuplicationSpec._of(s, e, b)
+        if bs := offsets(fe):
+            for x in masks(fe):
+                if accepted := part(x, fe + 1, bs):
+                    e = _build(s, x, 0, fe + 1)
+                    yield from (DuplicationSpec._of(s, e, b) for b in accepted)
 
 
 def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
@@ -391,10 +392,11 @@ def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
     least odd member.  The bound constrains the odd branch 2 f(E) + offset;
     callers pass max_frobenius >= 2 f(S).
     """
+    def sums(x, c, bs):
+        return list(filter(_sum_offsets(s, _build(s, x, 0, c)).__contains__, bs))
+
     # every offset b >= 1 meets 2 f(E) + b >= -1, since f(E) >= -1
-    return _specs(s, _offsets(s, range(-1, max_frobenius + 1, 2)),
-                  lambda fe: ideals_with_frobenius(s, fe),
-                  lambda s, e, bs: list(filter(_sum_offsets(s, e).__contains__, bs)))
+    return _specs(s, _offsets(s, range(-1, max_frobenius + 1, 2)), partial(_ideal_masks, s), sums)
 
 
 def _certificate(t: NumericalSemigroup, spec: DuplicationSpec, kind: str) -> DoubleCertificate:
@@ -491,7 +493,7 @@ def enumerate_odd_doubles(s: NumericalSemigroup, max_frobenius: int) -> DoubleFa
     def offsets(fe):
         return [b for b in in_window(fe) if b + fe - f in mk] if fe >= least else []
 
-    specs = _specs(s, offsets, _odd_ideals(s), _odd_ideal_part)
+    specs = _specs(s, offsets, _odd_ideals(s), _odd_ideal_part(s))
     return _family(s, specs, KIND_ODD, False)
 
 
@@ -507,12 +509,7 @@ def enumerate_even_doubles(s: NumericalSemigroup) -> DoubleFamily:
         return DoubleFamily(s, (), True)
     # 2 f(E) + b < 2 f(S)
     offsets = _offsets(s, range(-1, 2 * s.frobenius, 2))
-    masks, part = _even_ideals(s), _even_ideal_part(s)
-    # E is built only for a mask with an accepted offset, once
-    specs = (DuplicationSpec._of(s, e, b)
-             for fe in (-1, *s.gaps) if (bs := offsets(fe))
-             for x in masks(fe) if (accepted := part(x, fe + 1, bs))
-             for e in (_build(s, x, 0, fe + 1),) for b in accepted)
+    specs = _specs(s, offsets, _even_ideals(s), _even_ideal_part(s))
     return _family(s, specs, KIND_EVEN, True)
 
 

@@ -9,7 +9,7 @@ decomposition with a proper ideal.
 
 from sgdouble import NumericalSemigroup, naturals_ideal, relative_ideal
 from sgdouble.doubles import _sum_offsets
-from sgdouble.ideals import maximal_ideal
+from sgdouble.ideals import canonical_ideal, is_numerical_semigroup_set, maximal_ideal
 from sgdouble.semigroup import _reverse
 
 S1 = NumericalSemigroup.from_generators([3, 5, 7])                 # {0, 3, 5->}
@@ -76,3 +76,16 @@ def even_offsets_by_composition(s, e, bs):
     offsets = (e - m) - (m - e)
     sums = _sum_offsets(s, e)
     return [b for b in bs if -b in offsets and b in sums]
+
+
+def odd_offsets_by_composition(s, e, bs):
+    """The offsets b of ``bs`` that pass the odd-type test of E, m(E) = 0, by ideal operations.
+
+    E inside (M - K) + f(S) - f(E) - b is the offset condition
+    b + f(E) - f(S) + E + K <= M, and K - tilde(E), the reflection dual of
+    tilde(E), must be a numerical semigroup once some b passes: the
+    reference the tests hold ``doubles._odd_ideal_part``'s mask tests to.
+    """
+    mk = maximal_ideal(s) - canonical_ideal(s)
+    accepted = [b for b in bs if e <= mk.translate(s.frobenius - e.frobenius - b)]
+    return accepted if accepted and is_numerical_semigroup_set(e.tilde().reflection_dual()) else []

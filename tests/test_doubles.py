@@ -38,7 +38,8 @@ from sgdouble.ideals import (
 )
 from sgdouble.semigroup import canonical_key
 
-from cases import D1, D2, D3, E1, E2, F2, S1, S2, ST1, T1, T2, even_offsets_by_composition
+from cases import (D1, D2, D3, E1, E2, F2, S1, S2, ST1, T1, T2, even_offsets_by_composition,
+                   odd_offsets_by_composition)
 
 NAT_SPEC = DuplicationSpec(NATURALS, naturals_ideal(NATURALS), 1)
 
@@ -268,12 +269,12 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
         k = canonical_ideal(s)
         m = maximal_ideal(s)
         kmm = k - (m - m)
-        part = doubles._even_ideal_part(s)
+        part, odd_part = doubles._even_ideal_part(s), doubles._odd_ideal_part(s)
         for fe in (-1, *range(1, f + 1)):
             pool = ideals_with_frobenius(s, fe)
             total += 2 * len(pool)
             assert all(e.tilde() <= k for e in pool), (s, fe)
-            odd = doubles._odd_ideals(s)(fe)
+            odd = [_build(s, x, 0, fe + 1) for x in doubles._odd_ideals(s)(fe)]
             assert sorted(odd, key=lambda e: e.elements_below) == [
                 e for e in pool if kmm <= e.tilde() <= k], (s, fe)
             offsets = range(max(1, 2 * f + 1 - 2 * fe), 2 * f + 10 - 2 * fe, 2)
@@ -285,7 +286,7 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
                         assert not odd_double_check(DuplicationSpec(s, e, b)), (s, e, b)
                         dropped += 1
             for e in odd:
-                accepted = doubles._odd_ideal_part(s, e, offsets)
+                accepted = odd_part(e._mask, fe + 1, offsets)
                 if not is_numerical_semigroup_set(k - e.tilde()):
                     assert accepted == [], (s, e)
                     continue
@@ -336,27 +337,69 @@ def test_even_offset_kernel_matches_the_ideal_composition():
     assert (walked, accepted) == (6820, 1331)
 
 
+def test_odd_offset_kernel_matches_the_ideal_composition(monkeypatch):
+    # on every ideal the odd walk visits, at the offsets the enumerator tries
+    # there up to f(T) = 2 f(S) + 41: the kernel's mask tests against
+    # E <= (M - K) + f(S) - f(E) - b and K - tilde(E) a numerical semigroup
+    # by ideal operations, on T1, <9,11,12,16,17>, <4,6,7,9>, the two
+    # genus-20 bases and every S with f(S) <= 11
+    named = [(9, 10, 14, 15), (9, 11, 12, 16, 17), (4, 6, 7, 9), (11, 13, 15, 17, 19, 21),
+             (13, 14, 15, 17, 19, 23)]
+    bases = [NumericalSemigroup.from_generators(gens) for gens in named]
+    bases += [s for f in (-1, *range(1, 12)) for s in oracle.enum_semigroups_with_frobenius(f)]
+    odd_ideal_part = doubles._odd_ideal_part
+    walked = accepted = 0
+
+    def checked(s):
+        part = odd_ideal_part(s)
+
+        def compared(x, c, bs):
+            nonlocal walked, accepted
+            kernel = part(x, c, bs)
+            e = _build(s, x, 0, c)
+            assert kernel == odd_offsets_by_composition(s, e, bs), (s, e, bs)
+            walked += 1
+            accepted += len(kernel)
+            return kernel
+
+        return compared
+
+    monkeypatch.setattr(doubles, "_odd_ideal_part", checked)
+    for s in bases:
+        enumerate_odd_doubles(s, 2 * s.frobenius + 41)
+    assert (walked, accepted) == (7545, 34445)
+
+
 def test_even_check_is_unchanged_by_translating_the_spec():
-    # (E, b) and (E + mu, b - 2 mu) give the same double, and the check,
-    # which normalizes to m(E) = 0, gives all of them one answer: every
-    # candidate spec under the check's hypothesis for each S with f(S) <= 7,
-    # at each mu with b - 2 mu an odd member of S, up to past its conductor
-    checked, found = 0, set()
+    # (E, b) and (E + mu, b - 2 mu) give the same double, and the checks,
+    # which normalize to m(E) = 0, give all of them one answer: every
+    # candidate spec up to f(T) = 2 f(S) + 9 for each S with f(S) <= 7, at
+    # each mu with b - 2 mu an odd member of S, up to past its conductor;
+    # the even check on the specs under its hypothesis, the odd check and
+    # the odd necessary conditions on all of them
+    checked = odd_checked = 0
+    found, odd_found = set(), set()
     for s in [s for f in range(1, 8) for s in oracle.enum_semigroups_with_frobenius(f)]:
         f = s.frobenius
-        for spec in candidate_specs(s, 2 * f):
+        for spec in candidate_specs(s, 2 * f + 9):
             e, b = spec.ideal, spec.odd_offset
-            if 2 * f <= 2 * e.frobenius + b:
-                continue
-            expected = even_double_check(spec)
+            even = 2 * f > 2 * e.frobenius + b
+            expected = even and even_double_check(spec)
+            odd_expected = odd_double_check(spec), odd_necessary_conditions(spec)
             for mu in range(-s.conductor, (b - 1) // 2 + 1):
                 if b - 2 * mu in s:
                     moved = DuplicationSpec(s, e.translate(mu), b - 2 * mu)
-                    assert even_double_check(moved) == expected, (spec, mu)
-                    checked += 1
-            found.add(expected)
-    assert found == {True, False}
-    assert checked == 1686
+                    if even:
+                        assert even_double_check(moved) == expected, (spec, mu)
+                        checked += 1
+                    moved_odd = odd_double_check(moved), odd_necessary_conditions(moved)
+                    assert moved_odd == odd_expected, (spec, mu)
+                    odd_checked += 1
+            if even:
+                found.add(expected)
+            odd_found.add(odd_expected[0])
+    assert found == odd_found == {True, False}
+    assert (checked, odd_checked) == (1686, 18677)
 
 
 def _sandwich_bound(s):
