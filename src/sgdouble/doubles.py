@@ -23,7 +23,6 @@ from .ideals import (
     is_numerical_semigroup_set,
     maximal_ideal,
     naturals_ideal,
-    unit_ideal,
 )
 from .semigroup import (
     _CACHE_SIZE,
@@ -31,6 +30,8 @@ from .semigroup import (
     ClassificationReport,
     NumericalSemigroup,
     _bits,
+    _mask_of,
+    _minus,
     _pf_type,
     _reverse,
     _symmetry_class,
@@ -216,9 +217,13 @@ def _even_ideals(s: NumericalSemigroup):
     return lambda fe: _ideal_masks_between(s, fe, closure, k)
 
 
-def _sum_offsets(s: NumericalSemigroup, e: RelativeIdeal) -> RelativeIdeal:
-    """S - (E + E): the offsets b with E + E + b <= S, the duplication's own condition."""
-    return unit_ideal(s) - (e + e)
+def _sum_offsets(s: NumericalSemigroup):
+    """``sums(e)``: the mask of (M - E) - E, the offsets b > 0 with E + E + b <= S.
+
+    ``e`` is the mask of E, m(E) = 0, with every bit from its conductor on set.
+    """
+    m, members = s.multiplicity, s._mask & ~1 | -1 << max(s._c, 1)  # M
+    return lambda e: _minus(_minus(members, e, m), e, m)
 
 
 def _even_ideal_part(s: NumericalSemigroup):
@@ -228,32 +233,19 @@ def _even_ideal_part(s: NumericalSemigroup):
     the bits of ``x``.  Each positive b of ``bs`` is kept when it meets the
     condition M - E <= (E - M) + b and the sum condition E + E + b <= S,
     which every valid spec meets.  The second reads
-    b + E <= M - E: b + E misses 0, and S - E is M - E plus 0 when E = S.
-    Masks with every bit from a conductor on set stand for E, M, E - M and
-    M - E, so each condition is one mask test per b.  S and M are read once
-    here; per E, with m = m(S), E - M costs an AND per minimal generator g
-    of S with g - m < c, and M - E one per member of E's Apery set
-    E \\ (E + m), as x + E <= M when x + a is in M for each such a.
+    b + E <= M - E, as in ``_sum_offsets``.  Masks with every bit from a
+    conductor on set stand for E, M, M - E and (E - M) + m = (E + m) - G,
+    m = m(S) and G its minimal generators (x + M <= E when x + G <= E), so
+    each condition is one mask test per b.
     Assumes ``s`` is almost symmetric.
     """
-    m = s.multiplicity
-    members = s._mask & ~1 | -1 << max(s._c, 1)  # M
-    steps = [g - m for g in s.minimal_generators[1:]]  # the generators past m, less m
+    m, members = s.multiplicity, s._mask & ~1 | -1 << max(s._c, 1)  # M
+    gens = _mask_of(s.minimal_generators)
 
     def part(x: int, c: int, bs) -> list[int]:
         e = x | -1 << c
-        # E - M: bit i for i - m, a member when i - m + g is in E for each g
-        e_m = e
-        for step in steps:
-            if step >= c:  # i - m + g >= c for every i >= 0
-                break
-            e_m &= e >> step
-        m_e = members
-        apery = e & ~(e << m)
-        while apery:
-            low = apery & -apery
-            m_e &= members >> low.bit_length() - 1
-            apery ^= low
+        e_m = _minus(e << m, gens, m)
+        m_e = _minus(members, e, m)
         # b + E <= M - E puts b in M, so b - m >= 0 in the second test
         return [b for b in bs if not e << b & ~m_e and not m_e & ~(e_m << b - m)]
 
@@ -392,11 +384,14 @@ def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
     least odd member.  The bound constrains the odd branch 2 f(E) + offset;
     callers pass max_frobenius >= 2 f(S).
     """
-    def sums(x, c, bs):
-        return list(filter(_sum_offsets(s, _build(s, x, 0, c)).__contains__, bs))
+    sums = _sum_offsets(s)
+
+    def part(x, c, bs):
+        ok = sums(x | -1 << c)
+        return [b for b in bs if ok >> b & 1]
 
     # every offset b >= 1 meets 2 f(E) + b >= -1, since f(E) >= -1
-    return _specs(s, _offsets(s, range(-1, max_frobenius + 1, 2)), partial(_ideal_masks, s), sums)
+    return _specs(s, _offsets(s, range(-1, max_frobenius + 1, 2)), partial(_ideal_masks, s), part)
 
 
 def _certificate(t: NumericalSemigroup, spec: DuplicationSpec, kind: str) -> DoubleCertificate:
@@ -462,14 +457,14 @@ def enumerate_symmetric_doubles(s: NumericalSemigroup, max_frobenius: int) -> Do
     _check_bound(s, max_frobenius)
     f = s.frobenius
     k = canonical_ideal(s)
-    sums = _sum_offsets(s, k)
+    sums = _sum_offsets(s)(k._mask | -1 << k._c)
     b = 1
     while b not in s:
         b += 2
     # the sum condition K + K + (f_t - 2f) <= S is split-independent
     specs = (DuplicationSpec._of(s, k.translate((f_t - b) // 2 - f), b)
              for f_t in range(2 * f + 1, max_frobenius + 1, 2)
-             if f_t - 2 * f in sums)
+             if sums >> f_t - 2 * f & 1)
     return _family(s, specs, KIND_SYMMETRIC, False)
 
 

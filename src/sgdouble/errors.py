@@ -27,20 +27,20 @@ class FrobeniusInSet(SemigroupError):
     """conductor - 1 was listed as an element, so the conductor is not minimal."""
 
 
-class NotClosed(SemigroupError):
+class _Witnessed(SemigroupError):
+    """A domain error that carries the offending pair as ``witness``."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+class NotClosed(_Witnessed):
     """Additive closure fails; ``witness`` is a pair (a, b) with a + b missing."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
-
-class NotAnIdeal(SemigroupError):
+class NotAnIdeal(_Witnessed):
     """E + S is not contained in E; ``witness`` is a pair (e, s) escaping E."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class AmbientMismatch(SemigroupError):
@@ -51,12 +51,8 @@ class InvalidB(SemigroupError):
     """The duplication offset b is even, nonpositive, or not available."""
 
 
-class SumNotInS(SemigroupError):
+class SumNotInS(_Witnessed):
     """E + E + b escapes S; ``witness`` is a pair (e, e') with e + e' + b not in S."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class HypothesisViolated(SemigroupError):

@@ -5,7 +5,7 @@ members, such that E + S stays inside E and E is bounded below.  Like
 semigroups, ideals are stored canonically, on the semigroups' set core: the
 smallest member, a Python-int mask of the members from it up to the
 conductor, and the conductor.  They compute on it: E <= F is one mask
-test, E + F an OR of shifts of F, E - F an AND of shifts of E, the
+test, E + F an OR of shifts of F, E - F an AND over F's Apery set, the
 reflection dual E's complement mirrored.  All operations are pure; every
 set-valued result is computed over a finite window that provably contains
 all behaviour (both operands are upper sets past their conductors, so each
@@ -32,6 +32,7 @@ from .semigroup import (
     _bits,
     _from_mask,
     _mask_of,
+    _minus,
     _pair_violation,
     _reverse,
     _UpSet,
@@ -111,19 +112,16 @@ class RelativeIdeal(_UpSet):
     __radd__ = __add__
 
     def __sub__(self, other):
-        """Ideal difference {x : x + F <= E}; an integer operand translates by -x."""
+        """Ideal difference {x : x + F <= E} of ideals; an integer operand translates by -x."""
         if isinstance(other, int):
             return self.translate(-other)
         self._require_same_ambient(other)
-        # x is a member iff x + f is in E for each f in F.  Below lo,
-        # x + m(F) < m(E); from lo + span on, x + F >= c(E).  For x in
-        # between, f >= m(F) + span puts x + f past c(E) already, so bit
-        # x - lo ANDs bit x + f - m(E) of E's members over f - m(F) < span.
+        # x + F <= E: below lo, x + m(F) < m(E); from lo + span on,
+        # x + F >= c(E); in between, x - lo is in the difference of E and F
+        # shifted to smallest member 0, both closed under adding m(S)
         lo, span = self._lo - other._lo, self._c - self._lo
-        members = self._window(self._lo, self._lo + 2 * span)
-        diff = (1 << span) - 1
-        for d in _bits(other._window(other._lo, other._lo + span)):
-            diff &= members >> d
+        diff = _minus(self._mask | -1 << span, other._mask | -1 << other._c - other._lo,
+                      self.ambient.multiplicity)
         return _build(self.ambient, diff, lo, lo + span)
 
     def tilde(self) -> "RelativeIdeal":

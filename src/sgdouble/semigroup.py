@@ -142,6 +142,22 @@ def _pair_violation(mem: int, lo: int, shift: int, target: "_UpSet"):
     return None
 
 
+def _minus(f: int, e: int, m: int) -> int:
+    """The mask of F - E = {x >= 0 : x + E <= F}; a mask has bit x for each member x >= 0.
+
+    F, with every bit from its conductor on set, is closed under adding ``m``,
+    so one AND per member of E's Apery set E \\ (E + m) suffices.  E, finite
+    or not, need not contain 0.
+    """
+    out = -1
+    apery = e & ~(e << m)
+    while apery:
+        a = apery.bit_length() - 1
+        out &= f >> a
+        apery ^= 1 << a
+    return out
+
+
 def _mirror_table() -> bytes:
     """Byte i is i with its 8 bits in reverse order."""
     table = bytearray(256)
@@ -371,14 +387,14 @@ class NumericalSemigroup(_UpSet):
         """
         # x + s in S for every nonzero s in S already follows from x + g in S
         # for every g of a generating set, and for a gap x it holds outright
-        # once g >= c.  For g < c, x + g stays below 2c.  The set is m with
-        # the nonzero members of the Apery set {g in S : g - m not in S},
-        # read off the mask, or past _APERY_SPAN the minimal generators.
+        # once g >= c.  The set is m with the nonzero members of the Apery
+        # set {g in S : g - m not in S}, the Apery set of M's members below c
+        # plus m, or past _APERY_SPAN the minimal generators.
         c = self._c
         pf = ell | 1 << c >> 1  # no f for the naturals, whose c is 0
         if not ell:
             return pf
-        members = self._window(0, 2 * c)
+        members = self._mask | -1 << c
         if c > _APERY_SPAN:
             for g in self.minimal_generators:
                 if g >= c:
@@ -386,12 +402,7 @@ class NumericalSemigroup(_UpSet):
                 pf &= members >> g
             return pf
         m = self.multiplicity
-        steps = members & ~(members << m) & ((1 << c) - 2) | 1 << m
-        while steps:
-            g = steps & -steps
-            pf &= members >> (g.bit_length() - 1)
-            steps ^= g
-        return pf
+        return pf & _minus(members, self._mask & ~1 | 1 << m, m)
 
     @property
     def pseudo_frobenius(self) -> tuple[int, ...]:

@@ -8,8 +8,7 @@ decomposition with a proper ideal.
 """
 
 from sgdouble import NumericalSemigroup, naturals_ideal, relative_ideal
-from sgdouble.doubles import _sum_offsets
-from sgdouble.ideals import canonical_ideal, is_numerical_semigroup_set, maximal_ideal
+from sgdouble.ideals import canonical_ideal, is_numerical_semigroup_set, maximal_ideal, unit_ideal
 from sgdouble.semigroup import _reverse
 
 S1 = NumericalSemigroup.from_generators([3, 5, 7])                 # {0, 3, 5->}
@@ -74,7 +73,7 @@ def even_offsets_by_composition(s, e, bs):
     """
     m = maximal_ideal(s)
     offsets = (e - m) - (m - e)
-    sums = _sum_offsets(s, e)
+    sums = unit_ideal(s) - (e + e)
     return [b for b in bs if -b in offsets and b in sums]
 
 

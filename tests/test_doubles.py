@@ -35,6 +35,7 @@ from sgdouble.ideals import (
     is_numerical_semigroup_set,
     maximal_ideal,
     relative_ideal,
+    unit_ideal,
 )
 from sgdouble.semigroup import canonical_key
 
@@ -306,7 +307,7 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
                     sum_old = sum_violation(s, e, b) is None
                     assert (b in accepted) == (offset_old and sum_old), (s, e, b)
                     assert (-b in (e - m) - (m - e)) == offset_old
-                    assert (b in doubles._sum_offsets(s, e)) == sum_old
+                    assert (b in unit_ideal(s) - (e + e)) == sum_old
                     tried += 1
             walked += len(odd) + len(even)
     assert 0 < walked < total / 2

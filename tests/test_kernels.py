@@ -4,6 +4,8 @@
 tables, and ``_bits`` steps from set bit to set bit in a sparse mask and
 reads any other one character per bit; each is checked here bit by bit, at
 every width from 0 to 70 (so across every byte boundary) and at width 2001.
+``_minus`` ANDs over an Apery set instead of over every member, and is
+checked against its definition on random sets.
 """
 
 import random
@@ -11,7 +13,7 @@ import random
 import pytest
 
 from sgdouble.duplication import _spread, _unspread
-from sgdouble.semigroup import _bits, _reverse
+from sgdouble.semigroup import _bits, _minus, _reverse
 
 
 def ref_reverse(mask, width):
@@ -87,3 +89,32 @@ def test_reverse_requires_mask_below_two_to_the_width(width):
     for mask in (1 << width, (1 << width + 9) - 1, -1):
         with pytest.raises(OverflowError):
             _reverse(mask, width)
+
+
+def closed_under(mask, m, width):
+    """The least superset of ``mask`` closed under adding ``m``, below ``width``."""
+    for x in range(width - m):
+        if mask >> x & 1:
+            mask |= 1 << x + m
+    return mask
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_minus_matches_its_definition(seed):
+    # F - E = {x >= 0 : x + y in F for every member y of E}, for F closed
+    # under adding m with every bit from its conductor on set, and E with or
+    # without 0, finite or with every bit from some point on set (x + y is
+    # in F once y >= c(F), so the members y < c(F) decide)
+    rng = random.Random(seed)
+    for _ in range(400):
+        m, cf, ce = rng.randint(1, 9), rng.randint(0, 40), rng.randint(0, 40)
+        f = closed_under(rng.getrandbits(cf) if cf else 0, m, cf) | -1 << cf
+        e = rng.getrandbits(ce) if ce else 0
+        e = e | 1 if rng.random() < 0.5 else e & ~1
+        if rng.random() < 0.5:
+            e |= -1 << ce
+        ys = [y for y in range(cf) if e >> y & 1]
+        out = _minus(f, e, m)
+        for x in range(cf + 1):
+            assert (out >> x & 1) == all(f >> x + y & 1 for y in ys), (f, e, m, x)
+        assert out >> cf == -1, (f, e, m)  # every x >= c(F) is in F - E
