@@ -44,7 +44,9 @@ class RelativeIdeal(_UpSet):
     """Canonical, immutable relative ideal over ``ambient``.
 
     Direct construction validates structure only (sorted, conductor
-    minimal, span c(E) - m(E) within ``semigroup.CONDUCTOR_LIMIT``); use
+    minimal, span c(E) - m(E) within ``semigroup.CONDUCTOR_LIMIT``), so it
+    may carry a set that is not an ideal, but ``E - F`` assumes both
+    operands closed under adding m(S) and is undefined on such a set.  Use
     :func:`relative_ideal` to validate the ideal property E + S <= E for
     untrusted input.  Ideals the kernel computes itself are canonical by
     construction and skip both checks.  Besides the set core, an ideal

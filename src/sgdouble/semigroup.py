@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from heapq import heappop, heappush
 from itertools import compress
 from operator import attrgetter, lt
 from typing import Iterable
@@ -295,7 +294,13 @@ class NumericalSemigroup(_UpSet):
         """Smallest numerical semigroup containing ``gens``.
 
         Requires a nonempty list of positive integers with gcd 1 (otherwise
-        the complement would be infinite).
+        the complement would be infinite).  The members are found on a
+        window [0, w), starting at w = 2m for the least generator m and
+        doubled until its last m integers are members, so that its last
+        non-member is the Frobenius number: a few shifts of a w-bit mask
+        per generator, with w at most 2(c + m).  Past w =
+        ``CONDUCTOR_LIMIT`` + m the conductor exceeds the limit, and
+        :class:`BoundTooLarge` is raised.
         """
         gens = sorted(set(gens))
         if not gens:
@@ -307,31 +312,23 @@ class NumericalSemigroup(_UpSet):
         m = gens[0]
         if m > CONDUCTOR_LIMIT:  # 1, ..., m - 1 are gaps
             raise BoundTooLarge(f"conductor at least {m} exceeds the limit {CONDUCTOR_LIMIT}")
-        # least[r] = smallest element of the semigroup congruent to r mod m:
-        # shortest paths from 0 over the residue classes, an edge r -> r + g
-        # for each generator g
-        least: list[int | None] = [None] * m
-        least[0] = 0
-        heap = [(0, 0)]
-        while heap:
-            v, r = heappop(heap)
-            if v > least[r]:  # type: ignore[operator]
-                continue  # superseded by a shorter path
+        # the members below a window width w: {0} closed under each generator
+        # g in turn, by the shifts g, 2g, 4g, ... below w (after the shift
+        # 2^j g every k g below w with k < 2^(j + 1) is added)
+        w = 2 * m
+        while True:
+            full = (1 << w) - 1
+            members = 1
             for g in gens:
-                w = v + g
-                rr = w % m
-                if least[rr] is None or w < least[rr]:
-                    least[rr] = w
-                    heappush(heap, (w, rr))
-        conductor = max(least) - m + 1  # type: ignore[type-var]
-        _check_conductor(conductor)
-        # x is a member iff x >= least[x % m]: one comb of digits per residue,
-        # read as a binary numeral with bit x at position x from the right
-        digits = bytearray(b"0") * (conductor + 1)
-        for start in least:
-            comb = range(start, conductor, m)  # type: ignore[arg-type]
-            digits[start:conductor:m] = b"1" * len(comb)
-        return cls._of(0, int(digits[::-1], 2), conductor)
+                while g < w:
+                    members = (members | members << g) & full
+                    g <<= 1
+            c = (~members & full).bit_length()  # past the window's last non-member
+            if c <= w - m:  # m members in a row end the window: adding m covers the rest
+                return cls._of(0, members & ((1 << c) - 1), c)
+            if w == CONDUCTOR_LIMIT + m:  # then c > CONDUCTOR_LIMIT
+                raise BoundTooLarge(f"conductor exceeds the limit {CONDUCTOR_LIMIT}")
+            w = min(2 * w, CONDUCTOR_LIMIT + m)
 
     @classmethod
     def from_small_elements(cls, elems: Iterable[int], conductor: int) -> "NumericalSemigroup":
@@ -387,22 +384,20 @@ class NumericalSemigroup(_UpSet):
         """
         # x + s in S for every nonzero s in S already follows from x + g in S
         # for every g of a generating set, and for a gap x it holds outright
-        # once g >= c.  The set is m with the nonzero members of the Apery
-        # set {g in S : g - m not in S}, the Apery set of M's members below c
-        # plus m, or past _APERY_SPAN the minimal generators.
+        # once g >= c.  So the scan is S - G, one AND per member of G's Apery
+        # set: G is M's members below c plus m, whose Apery set is m with the
+        # nonzero members of {g in S : g - m not in S}, or past _APERY_SPAN
+        # the minimal generators below c.
         c = self._c
         pf = ell | 1 << c >> 1  # no f for the naturals, whose c is 0
         if not ell:
             return pf
-        members = self._mask | -1 << c
-        if c > _APERY_SPAN:
-            for g in self.minimal_generators:
-                if g >= c:
-                    break
-                pf &= members >> g
-            return pf
         m = self.multiplicity
-        return pf & _minus(members, self._mask & ~1 | 1 << m, m)
+        if c > _APERY_SPAN:
+            gens = _mask_of(self.minimal_generators) & ((1 << c) - 1)
+        else:
+            gens = self._mask & ~1 | 1 << m
+        return pf & _minus(self._mask | -1 << c, gens, m)
 
     @property
     def pseudo_frobenius(self) -> tuple[int, ...]:

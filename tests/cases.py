@@ -88,3 +88,20 @@ def odd_offsets_by_composition(s, e, bs):
     mk = maximal_ideal(s) - canonical_ideal(s)
     accepted = [b for b in bs if e <= mk.translate(s.frobenius - e.frobenius - b)]
     return accepted if accepted and is_numerical_semigroup_set(e.tilde().reflection_dual()) else []
+
+
+def semigroup_by_generators(gens):
+    """The numerical semigroup generated by ``gens`` (gcd 1), naively.
+
+    x is a member exactly when x = 0 or x - g is a member for some generator
+    g <= x, decided for every x below Schur's bound (m - 1)(max g - 1) + m,
+    m the least generator: the conductor is at most (m - 1)(max g - 1), so
+    that range holds it and m members past it.  The reference the tests
+    hold ``NumericalSemigroup.from_generators`` to.
+    """
+    m = min(gens)
+    member = [True]
+    for x in range(1, (m - 1) * (max(gens) - 1) + m):
+        member.append(any(g <= x and member[x - g] for g in gens))
+    c = len(member) - member[::-1].index(False) if False in member else 0
+    return NumericalSemigroup([x for x in range(c) if member[x]], c)

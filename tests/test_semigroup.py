@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -26,7 +27,7 @@ from sgdouble.errors import (
 )
 from sgdouble.ideals import RelativeIdeal
 
-from cases import D3, S1, S2, T1, T2, criteria
+from cases import D3, S1, S2, T1, T2, criteria, semigroup_by_generators
 
 
 class TestFromGenerators:
@@ -78,8 +79,50 @@ class TestFromGenerators:
             NumericalSemigroup((0,), limit + 1)
         with pytest.raises(BoundTooLarge):
             NumericalSemigroup.from_generators([limit + 1, limit + 2])  # multiplicity too large
-        with pytest.raises(BoundTooLarge):
-            NumericalSemigroup.from_generators([1415, 1417])  # conductor 2,002,224
+        # c(<1414, 1415>) = 1413 * 1414 = 1,997,982 shows only in the widest
+        # window, CONDUCTOR_LIMIT + m.  Below that width the window's last m
+        # integers start at a multiple of m, a member, so only there does the
+        # stop rule's m-th member count: c(<2, 2000001>) is the limit, and
+        # c(<3, 1000003, 2000003>) = 2000001, its Apery set 0, 1000003 and
+        # 2000003, one past it.  The message names only the limit.
+        s = NumericalSemigroup.from_generators([1415, 1414])
+        assert s.conductor == 1413 * 1414 == 1997982
+        assert s.small_elements[:3] == (0, 1414, 1415) and 1997982 - 1 not in s
+        assert NumericalSemigroup.from_generators([2, limit + 1]).conductor == limit
+        for gens in ([1415, 1417],                     # conductor 2,002,224
+                     [3, limit // 2 + 3, limit + 3],
+                     [limit, limit + 1]):              # conductor 1999999 * 2000000
+            with pytest.raises(BoundTooLarge) as exc:
+                NumericalSemigroup.from_generators(gens)
+            assert str(exc.value) == f"conductor exceeds the limit {limit}"
+
+    def test_matches_the_naive_closure(self):
+        # unsorted lists with gcd 1, each with a repeat and a sum of two
+        # generators (capped below 4m), held to the member-by-member reference
+        rng = random.Random(25)
+        checked = 0
+        while checked < 600:
+            m = rng.randint(1, 40)
+            gens = [m, *(rng.randrange(m, 4 * m) for _ in range(rng.randint(0, 5)))]
+            gens += [rng.choice(gens), min(rng.choice(gens) + rng.choice(gens), 4 * m - 1)]
+            if math.gcd(*gens) != 1:
+                continue
+            rng.shuffle(gens)
+            assert NumericalSemigroup.from_generators(gens) == semigroup_by_generators(gens), gens
+            checked += 1
+
+    def test_rebuilds_every_small_semigroup(self):
+        # every S with 1 <= f <= 13, from its minimal generators and from
+        # all of its members in [m, c + m), a generating set
+        count = 0
+        for f in range(1, 14):
+            for s in oracle.enum_semigroups_with_frobenius(f):
+                m, c = s.multiplicity, s.conductor
+                assert NumericalSemigroup.from_generators(s.minimal_generators) == s, str(s)
+                members = [x for x in range(m, c + m) if x in s]
+                assert NumericalSemigroup.from_generators(members) == s, str(s)
+                count += 1
+        assert count == 276
 
 
 class TestFromSmallElements:
@@ -264,7 +307,8 @@ def bitmask_cases():
                  (64, 65, 66, 67, 68, 69, 70, 71, 150),   # c = 448, 9 generators
                  (37, 401, 443, 502, 719),                # c = 2412, type 10
                  (2, 2001),                               # c = 2000, every odd x < c a gap
-                 (2, 513), (2, 515)):                     # c = 512, 514: either side of _APERY_SPAN
+                 (2, 513), (2, 515),                      # c = 512, 514: either side of _APERY_SPAN
+                 (6, 8, 10, 535)):                        # c = 540; PF(S) needs 535, within m of c
         cases.append(NumericalSemigroup.from_generators(gens))
     # m = c: every integer in [c, 2c) is a minimal generator
     cases.append(NumericalSemigroup.from_small_elements([0], 300))
