@@ -203,18 +203,9 @@ def odd_double_check(spec: DuplicationSpec) -> bool:
     return _odd_ideal_part(s)(e._mask, e._c - lo, (b,)) == [b]
 
 
-def _even_ideals(s: NumericalSemigroup):
-    """For each f(E) = fe, the masks of the ideals at fe with K <= E - E: E + K <= E, as 0 is in E.
-
-    E then holds every sum of members of K, so that additive closure,
-    computed once here, is the lower bound of the walk, and the walk closes
-    its selections under K.
-    """
-    k = canonical_ideal(s)
-    closure = k
-    while (grown := closure + k) != closure:
-        closure = grown
-    return lambda fe: _ideal_masks_between(s, fe, closure, k)
+def _maximal_mask(s: NumericalSemigroup) -> int:
+    """The mask of M, the maximal ideal S minus {0}, with every bit from its conductor on set."""
+    return s._mask & ~1 | -1 << max(s._c, 1)
 
 
 def _sum_offsets(s: NumericalSemigroup):
@@ -222,34 +213,109 @@ def _sum_offsets(s: NumericalSemigroup):
 
     ``e`` is the mask of E, m(E) = 0, with every bit from its conductor on set.
     """
-    m, members = s.multiplicity, s._mask & ~1 | -1 << max(s._c, 1)  # M
+    m, members = s.multiplicity, _maximal_mask(s)
     return lambda e: _minus(_minus(members, e, m), e, m)
 
 
 def _even_ideal_part(s: NumericalSemigroup):
-    """The even-type offset test over ``s``: ``part(x, c, bs)``, the offsets of ``bs`` E accepts.
+    """The even-type offset test over ``s``: ``part(x, c, m_e, bs)``, the offsets of ``bs`` E accepts.
 
     E is the ideal with smallest member 0, conductor c and members below c
-    the bits of ``x``.  Each positive b of ``bs`` is kept when it meets the
-    condition M - E <= (E - M) + b and the sum condition E + E + b <= S,
-    which every valid spec meets.  The second reads
-    b + E <= M - E, as in ``_sum_offsets``.  Masks with every bit from a
-    conductor on set stand for E, M, M - E and (E - M) + m = (E + m) - G,
-    m = m(S) and G its minimal generators (x + M <= E when x + G <= E), so
-    each condition is one mask test per b.
-    Assumes ``s`` is almost symmetric.
+    the bits of ``x``, and ``m_e`` the mask of M - E.  A b of ``bs`` is kept
+    when it meets the sum condition E + E + b <= S, which every valid spec
+    meets, and the offset condition M - E <= (E - M) + b.  The first reads
+    b + E <= M - E, as b + E + E misses 0, and is tested first: only if
+    some b passes it is (E - M) + m = (E + m) - G computed, m = m(S) and G
+    the minimal generators of S (x + M <= E when x + G <= E).  Masks with
+    every bit from a conductor on set stand for E, M - E and (E - M) + m, so
+    each condition is one mask test per b.  Assumes ``s`` is almost
+    symmetric.
     """
-    m, members = s.multiplicity, s._mask & ~1 | -1 << max(s._c, 1)  # M
+    m = s.multiplicity
     gens = _mask_of(s.minimal_generators)
 
-    def part(x: int, c: int, bs) -> list[int]:
+    def part(x: int, c: int, m_e: int, bs) -> list[int]:
         e = x | -1 << c
+        bs = [b for b in bs if not e << b & ~m_e]
+        if not bs:
+            return bs
         e_m = _minus(e << m, gens, m)
-        m_e = _minus(members, e, m)
-        # b + E <= M - E puts b in M, so b - m >= 0 in the second test
-        return [b for b in bs if not e << b & ~m_e and not m_e & ~(e_m << b - m)]
+        # b + 0 is in M - E, so b - m >= 0
+        return [b for b in bs if not m_e & ~(e_m << b - m)]
 
     return part
+
+
+def _even_offsets(s: NumericalSemigroup):
+    """For each f(E) = fe, the odd offsets b in S an even-type spec (S, E, b), m(E) = 0, can have.
+
+    These are the b with f(S) - fe <= b <= f(S) - fe + m, m = m(S), and
+    2 fe + b < 2 f(S), the check's hypothesis; empty for fe >= f(S) - 1.
+    The lower end: the sum condition b + E <= M - E puts b + fe + 1 + N
+    inside M - E, whose Frobenius number is f(M) - m(E) = f(S), so
+    b + fe + 1 > f(S).  The upper end: the offset condition
+    M - E <= (E - M) + b gives f(S) = f(M - E) >= f(E - M) + b = fe - m + b.
+
+    Each b also lies in [m(M - E), m(M - E) + m]: the sum condition puts
+    b = b + 0 in M - E, and the least members of the offset condition's
+    sides give m(M - E) >= m(E - M) + b, where m(E - M) >= -m, as x + M <= E
+    puts x + m in E.  On every ideal the even walk builds, E + K <= E with
+    fe < f(S), that window is this one: m(M - E) = f(S) - fe, since x in E
+    with f(S) - fe + x outside S would put fe - x in K, and so fe in E + K.
+    The per-ideal test therefore needs no window of its own.
+    """
+    f, m = s.frobenius, s.multiplicity
+
+    def offsets(fe: int) -> list[int]:
+        low = f - fe
+        return [b for b in range(low | 1, min(low + m, 2 * low - 1) + 1, 2) if b in s]
+
+    return offsets
+
+
+def _even_walk(s: NumericalSemigroup):
+    """``walk(fe, bs)``: each ideal E at f(E) = fe with K <= E - E, and the offsets of ``bs`` it accepts.
+
+    Yields (mask, ``_even_ideal_part``'s offsets) per ideal, unsorted, masks
+    as ``_ideal_masks_between`` gives them, and walks as it does with
+    ``need`` the additive closure of K, computed once here, and ``close`` K:
+    K <= E - E is E + K <= E, as 0 is in E, so E holds every sum of members
+    of K.  The walk carries M - E along, one AND per added gap.  It starts
+    from E_0 = S | [fe + 1, oo), for which M - E_0 = M & [f(S) - fe, oo):
+    x + S <= M for x in M, and x + [fe + 1, oo) <= M exactly when
+    x + fe + 1 > f(S).  A gap g then gives M - (E | {g}) = (M - E) & (M - g).
+    """
+    k = canonical_ideal(s)
+    closure = k
+    while (grown := closure + k) != closure:
+        closure = grown
+    f, members = s.frobenius, _maximal_mask(s)
+    part = _even_ideal_part(s)
+
+    def walk(fe: int, bs):
+        start = members & -1 << f - fe  # M - E_0
+        if fe == -1:
+            yield 0, part(0, 0, start, bs)  # the naturals
+            return
+        forced = closure._window(0, fe + 1)
+        base = s._window(0, fe)
+        gaps = s._gap_mask & ((1 << fe) - 1)
+        free = gaps & ~_reverse(k._window(1, fe + 1), fe)
+        # a member fe of S is forced, but neither in the base nor free
+        if forced & ~(base | free):
+            return
+        steps = k._window(0, fe) & ~1
+        chosen = [(0, start)]  # the gaps selected so far, and M - E
+        for g in reversed(_bits(free)):
+            required = steps << g & gaps
+            shifted = members >> g  # M - g
+            grown = [(c | 1 << g, m_e & shifted) for c, m_e in chosen if c & required == required]
+            chosen = grown if forced >> g & 1 else chosen + grown
+        for c, m_e in chosen:
+            x = base | c
+            yield x, part(x, fe + 1, m_e, bs)
+
+    return walk
 
 
 def even_double_check(spec: DuplicationSpec) -> bool:
@@ -267,11 +333,17 @@ def even_double_check(spec: DuplicationSpec) -> bool:
         raise HypothesisViolated(
             "even-type check requires 2 f(S) > 2 f(E) + offset"
         )
-    if not classify(s).almost_symmetric or not canonical_ideal(s) <= e - e:
+    if not classify(s).almost_symmetric:
         return False
-    lo = e.min_element
+    lo, m = e.min_element, s.multiplicity
     b += 2 * lo  # lo + lo + b, in S by the sum condition
-    return _even_ideal_part(s)(e._mask, e._c - lo, (b,)) == [b]
+    x, c = e._mask, e._c - lo
+    e = x | -1 << c
+    k = canonical_ideal(s)
+    # K <= E - E, with m(K) = 0 and E - E inside E
+    if (k._mask | -1 << k._c) & ~_minus(e, e, m):
+        return False
+    return _even_ideal_part(s)(x, c, _minus(_maximal_mask(s), e, m), (b,)) == [b]
 
 
 # -- search space -------------------------------------------------------------
@@ -359,21 +431,26 @@ def _offsets(s: NumericalSemigroup, targets):
     return lambda fe: [b for t in targets if (b := t - 2 * fe) in s]
 
 
-def _specs(s: NumericalSemigroup, offsets, masks, part):
+def _specs(s: NumericalSemigroup, offsets, walk):
     """Yield the normalized specs over ``s`` that pass a two-part check.
 
     ``offsets(f(E))`` gives the offsets to try for each f(E), ascending, and
-    an f(E) left with none is not walked.  ``masks(f(E))`` gives the masks of
-    the ideals to check, as ``_ideal_masks_between`` does, and ``part(x, c, bs)``,
-    c = f(E) + 1, the offsets of ``bs`` E accepts, only ones with E + E + b <= S,
-    so the specs skip the constructor's checks.  E is built once, if any passed.
+    an f(E) left with none is not walked.  ``walk(f(E), bs)`` yields, for
+    each ideal it walks, its mask, as ``_ideal_masks_between`` gives it, and
+    the offsets of ``bs`` it accepts, only ones with E + E + b <= S, so the
+    specs skip the constructor's checks.  E is built once, if any passed.
     """
     for fe in (-1, *s.gaps):
         if bs := offsets(fe):
-            for x in masks(fe):
-                if accepted := part(x, fe + 1, bs):
+            for x, accepted in walk(fe, bs):
+                if accepted:
                     e = _build(s, x, 0, fe + 1)
                     yield from (DuplicationSpec._of(s, e, b) for b in accepted)
+
+
+def _tested(masks, part):
+    """The walk of ``_specs`` over the masks of ``masks(f(E))``, each tested by ``part(x, f(E) + 1, bs)``."""
+    return lambda fe, bs: ((x, part(x, fe + 1, bs)) for x in masks(fe))
 
 
 def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
@@ -391,7 +468,8 @@ def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
         return [b for b in bs if ok >> b & 1]
 
     # every offset b >= 1 meets 2 f(E) + b >= -1, since f(E) >= -1
-    return _specs(s, _offsets(s, range(-1, max_frobenius + 1, 2)), partial(_ideal_masks, s), part)
+    return _specs(s, _offsets(s, range(-1, max_frobenius + 1, 2)),
+                  _tested(partial(_ideal_masks, s), part))
 
 
 def _certificate(t: NumericalSemigroup, spec: DuplicationSpec, kind: str) -> DoubleCertificate:
@@ -488,7 +566,7 @@ def enumerate_odd_doubles(s: NumericalSemigroup, max_frobenius: int) -> DoubleFa
     def offsets(fe):
         return [b for b in in_window(fe) if b + fe - f in mk] if fe >= least else []
 
-    specs = _specs(s, offsets, _odd_ideals(s), _odd_ideal_part(s))
+    specs = _specs(s, offsets, _tested(_odd_ideals(s), _odd_ideal_part(s)))
     return _family(s, specs, KIND_ODD, False)
 
 
@@ -497,14 +575,14 @@ def enumerate_even_doubles(s: NumericalSemigroup) -> DoubleFamily:
 
     Empty exactly when ``s`` is the naturals or not almost symmetric.  All
     members have Frobenius number 2 f(S).  The search space is finite: with
-    the ideal normalized to contain 0, the offset is an odd element below
-    2 f(S) + 2 and the ideal's Frobenius number lies below f(S) - offset/2.
+    the ideal normalized to contain 0, the offset b and f(E) meet
+    2 f(E) + b < 2 f(S).  Each f(E) tries only the offsets of
+    ``_even_offsets``' window, and an f(E) it leaves empty is not walked;
+    each walked ideal computes E - M only if some offset meets the sum condition.
     """
     if s.is_naturals or not classify(s).almost_symmetric:
         return DoubleFamily(s, (), True)
-    # 2 f(E) + b < 2 f(S)
-    offsets = _offsets(s, range(-1, 2 * s.frobenius, 2))
-    specs = _specs(s, offsets, _even_ideals(s), _even_ideal_part(s))
+    specs = _specs(s, _even_offsets(s), _even_walk(s))
     return _family(s, specs, KIND_EVEN, True)
 
 

@@ -270,7 +270,7 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
         k = canonical_ideal(s)
         m = maximal_ideal(s)
         kmm = k - (m - m)
-        part, odd_part = doubles._even_ideal_part(s), doubles._odd_ideal_part(s)
+        even_walk, odd_part = doubles._even_walk(s), doubles._odd_ideal_part(s)
         for fe in (-1, *range(1, f + 1)):
             pool = ideals_with_frobenius(s, fe)
             total += 2 * len(pool)
@@ -296,12 +296,12 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
                     assert (b in accepted) == (shifted_sum.translate(b) <= m), (s, e, b)
                     assert b not in accepted or sum_violation(s, e, b) is None, (s, e, b)
                     tried += 1
-            even = [_build(s, x, 0, fe + 1) for x in doubles._even_ideals(s)(fe)]
-            assert sorted(even, key=lambda e: e.elements_below) == [
-                e for e in pool if k <= e - e], (s, fe)
-            for e in even:
-                even_offsets = range(1, 2 * f - 2 * fe, 2)
-                accepted = part(e._mask, fe + 1, even_offsets)
+            even_offsets = range(1, 2 * f - 2 * fe, 2)
+            even = [(_build(s, x, 0, fe + 1), accepted)
+                    for x, accepted in even_walk(fe, even_offsets)]
+            assert sorted(e.elements_below for e, _ in even) == [
+                e.elements_below for e in pool if k <= e - e], (s, fe)
+            for e, accepted in even:
                 for b in even_offsets:
                     offset_old = m - e <= (e - m).translate(b)
                     sum_old = sum_violation(s, e, b) is None
@@ -315,27 +315,58 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
 
 
 def test_even_offset_kernel_matches_the_ideal_composition():
-    # on every ideal the even walk visits, at the offsets the enumerator
-    # tries there: the kernel's two mask tests against -b in (E - M) - (M - E)
-    # and b in S - (E + E), on T1, <7,9>, <9,10>, the two genus-20 bases and
-    # every almost symmetric S with f(S) <= 11
+    # on every ideal the even walk visits, at every f(E), over the whole
+    # Frobenius window 1 <= b < 2 (f(S) - f(E)): the kernel's two mask tests
+    # against -b in (E - M) - (M - E) and b in S - (E + E), and the offsets
+    # the enumerator tries there, its per-f(E) window, hold every offset the
+    # composition accepts, so an f(E) left with none is not walked; on T1,
+    # <7,9>, <9,10>, the two genus-20 bases and every almost symmetric S
+    # with f(S) <= 11
     named = [(9, 10, 14, 15), (7, 9), (9, 10), (11, 13, 15, 17, 19, 21), (13, 14, 15, 17, 19, 23)]
     bases = [NumericalSemigroup.from_generators(gens) for gens in named]
     bases += [s for f in range(1, 12) for s in oracle.enum_semigroups_with_frobenius(f)
               if classify(s).almost_symmetric]
     walked = accepted = 0
     for s in bases:
-        masks, part = doubles._even_ideals(s), doubles._even_ideal_part(s)
-        offsets = doubles._offsets(s, range(-1, 2 * s.frobenius, 2))
+        f = s.frobenius
+        walk, offsets = doubles._even_walk(s), doubles._even_offsets(s)
         for fe in (-1, *s.gaps):
-            bs = offsets(fe)
-            for x in masks(fe):
+            window = range(1, 2 * f - 2 * fe, 2)
+            full = dict(walk(fe, window))
+            for x, kernel in full.items():
                 e = _build(s, x, 0, fe + 1)
-                kernel = part(x, fe + 1, bs)
-                assert kernel == even_offsets_by_composition(s, e, bs), (s, e)
-                walked += 1
-                accepted += len(kernel)
-    assert (walked, accepted) == (6820, 1331)
+                assert kernel == even_offsets_by_composition(s, e, window), (s, e)
+            bs = offsets(fe)
+            tried = dict(walk(fe, bs)) if bs else {}
+            assert (tried == full) if bs else not any(full.values()), (s, fe)
+            walked += len(tried)
+            accepted += sum(map(len, tried.values()))
+    assert (walked, accepted) == (6775, 1331)
+
+
+def test_even_windows_hold_every_oracle_even_type_double():
+    # the oracle's even-type doubles of every almost symmetric S != N with
+    # f(S) <= 9, each read naively: b its least odd member,
+    # E = {x >= 0 : 2x + b in T}, and m(M - E), the least y >= 0 with
+    # y + E inside M = S minus {0}.  b lies in both windows the even
+    # enumerator's offsets are drawn from, f(S) - f(E) <= b <= f(S) - f(E) + m
+    # and m(M - E) <= b <= m(M - E) + m, and the two are one window:
+    # m(M - E) = f(S) - f(E)
+    bases = [s for f in range(1, 10) for s in oracle.enum_semigroups_with_frobenius(f)
+             if classify(s).almost_symmetric]
+    found = 0
+    for s in bases:
+        f, m, c = s.frobenius, s.multiplicity, s.conductor
+        for t in oracle.brute_doubles(s, "even", 2 * f):
+            b = next(x for x in range(1, t.conductor + 2, 2) if x in t)
+            e = [x for x in range(c + 1) if 2 * x + b in t]  # and every x > c
+            fe = max((x for x in range(c + 1) if x not in e), default=-1)
+            least = next(y for y in range(c + 1) if all(y + x != 0 and y + x in s for x in e))
+            assert f - fe <= b <= f - fe + m, (s, t)
+            assert least <= b <= least + m, (s, t)
+            assert least == f - fe, (s, t)
+            found += 1
+    assert found == 160
 
 
 def test_odd_offset_kernel_matches_the_ideal_composition(monkeypatch):
