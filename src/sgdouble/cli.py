@@ -243,7 +243,7 @@ def _sampled_ideals(s: NumericalSemigroup, rng: random.Random) -> list:
 
     The draw is made among their masks, and only the drawn ideals are built.
     """
-    pool = [(fe, x) for fe in (-1, *s.gaps) for x in doubles_mod._ideal_masks(s, fe)]
+    pool = [(fe, x) for fe in (-1, *s.gaps) for x, _ in doubles_mod._ideal_masks(s, fe)]
     return [_build(s, x, 0, fe + 1) for fe, x in rng.sample(pool, min(len(pool), 8))]
 
 

@@ -136,7 +136,7 @@ def _base_context(s: NumericalSemigroup) -> _BaseContext:
 
 
 def _odd_ideals(s: NumericalSemigroup):
-    """For each f(E) = fe, the masks of the ideals at fe with K - (M - M) <= tilde(E) <= K.
+    """For each f(E) = fe, the (mask, M - E) pairs of the ideals with K - (M - M) <= tilde(E) <= K.
 
     tilde(E) = E + f(S) - fe, so E contains K - (M - M) + fe - f(S).  The
     other half holds for every relative ideal: x in E with f(E) - x in S
@@ -156,21 +156,22 @@ def _odd_dual_ok(s: NumericalSemigroup, x: int, c: int) -> bool:
 
 
 def _odd_ideal_part(s: NumericalSemigroup):
-    """The odd-type offset test over ``s``: ``part(x, c, bs)``, the offsets of ``bs`` E accepts.
+    """The odd-type offset test over ``s``: ``part(x, c, m_e, bs)``, the offsets of ``bs`` E accepts.
 
-    E, inside the walk's sandwich, is given as to ``_odd_dual_ok``.  Each b of
-    ``bs``, with b + shift > 0 for shift = f(E) - f(S), is kept when
-    b + shift + E + K <= M: one mask test of E + b + shift against M - K,
-    read once here.  Only if some b passes is K - tilde(E) tested.  Each
-    accepted b meets the sum condition: E - shift = tilde(E) <= K gives
-    E + E + b <= b + shift + E + K <= M.
+    E, inside the walk's sandwich, is given as to ``_odd_dual_ok``, and
+    ``m_e`` is the mask of M - E.  Each b of ``bs``, with b + shift > 0 for
+    shift = f(E) - f(S), is kept when b + shift + E + K <= M, that is
+    b + shift + K <= M - E, as y is in M - E exactly when y + E <= M: one
+    mask test of K, read once here.  Only if some b passes is K - tilde(E)
+    tested.  Each accepted b meets the sum condition: E - shift = tilde(E) <= K
+    gives E + E + b <= b + shift + E + K <= M.
     """
-    mk = _base_context(s).mk
-    outside = ~mk._window(0, mk._c) & (1 << mk._c) - 1  # [0, c(M - K)) outside M - K
+    k = canonical_ideal(s)
+    kk = k._mask | -1 << k._c
 
-    def part(x: int, c: int, bs) -> list[int]:
-        e, shift = x | -1 << c, c - 1 - s.frobenius
-        accepted = [b for b in bs if not e << b + shift & outside]
+    def part(x: int, c: int, m_e: int, bs) -> list[int]:
+        shift = c - 1 - s.frobenius
+        accepted = [b for b in bs if not kk << b + shift & ~m_e]
         return accepted if accepted and _odd_dual_ok(s, x, c) else []
 
     return part
@@ -200,21 +201,14 @@ def odd_double_check(spec: DuplicationSpec) -> bool:
         return False
     lo = e.min_element
     b += 2 * lo  # lo + lo + b, odd and in S by the sum condition: b > 0, so b + shift > 0
-    return _odd_ideal_part(s)(e._mask, e._c - lo, (b,)) == [b]
+    x, c = e._mask, e._c - lo
+    m_e = _minus(_maximal_mask(s), x | -1 << c, s.multiplicity)
+    return _odd_ideal_part(s)(x, c, m_e, (b,)) == [b]
 
 
 def _maximal_mask(s: NumericalSemigroup) -> int:
     """The mask of M, the maximal ideal S minus {0}, with every bit from its conductor on set."""
     return s._mask & ~1 | -1 << max(s._c, 1)
-
-
-def _sum_offsets(s: NumericalSemigroup):
-    """``sums(e)``: the mask of (M - E) - E, the offsets b > 0 with E + E + b <= S.
-
-    ``e`` is the mask of E, m(E) = 0, with every bit from its conductor on set.
-    """
-    m, members = s.multiplicity, _maximal_mask(s)
-    return lambda e: _minus(_minus(members, e, m), e, m)
 
 
 def _even_ideal_part(s: NumericalSemigroup):
@@ -273,49 +267,17 @@ def _even_offsets(s: NumericalSemigroup):
     return offsets
 
 
-def _even_walk(s: NumericalSemigroup):
-    """``walk(fe, bs)``: each ideal E at f(E) = fe with K <= E - E, and the offsets of ``bs`` it accepts.
+def _even_ideals(s: NumericalSemigroup):
+    """For each f(E) = fe, the (mask, M - E) pairs of the ideals at fe with K <= E - E.
 
-    Yields (mask, ``_even_ideal_part``'s offsets) per ideal, unsorted, masks
-    as ``_ideal_masks_between`` gives them, and walks as it does with
-    ``need`` the additive closure of K, computed once here, and ``close`` K:
     K <= E - E is E + K <= E, as 0 is in E, so E holds every sum of members
-    of K.  The walk carries M - E along, one AND per added gap.  It starts
-    from E_0 = S | [fe + 1, oo), for which M - E_0 = M & [f(S) - fe, oo):
-    x + S <= M for x in M, and x + [fe + 1, oo) <= M exactly when
-    x + fe + 1 > f(S).  A gap g then gives M - (E | {g}) = (M - E) & (M - g).
+    of K: the walk needs the additive closure of K, computed once here.
     """
     k = canonical_ideal(s)
     closure = k
     while (grown := closure + k) != closure:
         closure = grown
-    f, members = s.frobenius, _maximal_mask(s)
-    part = _even_ideal_part(s)
-
-    def walk(fe: int, bs):
-        start = members & -1 << f - fe  # M - E_0
-        if fe == -1:
-            yield 0, part(0, 0, start, bs)  # the naturals
-            return
-        forced = closure._window(0, fe + 1)
-        base = s._window(0, fe)
-        gaps = s._gap_mask & ((1 << fe) - 1)
-        free = gaps & ~_reverse(k._window(1, fe + 1), fe)
-        # a member fe of S is forced, but neither in the base nor free
-        if forced & ~(base | free):
-            return
-        steps = k._window(0, fe) & ~1
-        chosen = [(0, start)]  # the gaps selected so far, and M - E
-        for g in reversed(_bits(free)):
-            required = steps << g & gaps
-            shifted = members >> g  # M - g
-            grown = [(c | 1 << g, m_e & shifted) for c, m_e in chosen if c & required == required]
-            chosen = grown if forced >> g & 1 else chosen + grown
-        for c, m_e in chosen:
-            x = base | c
-            yield x, part(x, fe + 1, m_e, bs)
-
-    return walk
+    return lambda fe: _ideal_masks_between(s, fe, closure, k)
 
 
 def even_double_check(spec: DuplicationSpec) -> bool:
@@ -350,10 +312,12 @@ def even_double_check(spec: DuplicationSpec) -> bool:
 
 
 def _ideal_masks_between(s: NumericalSemigroup, fe: int, need: _UpSet, close: _UpSet,
-                         ) -> list[int]:
-    """The masks of the ideals E of ``s`` with m(E) = 0 and f(E) = ``fe`` that contain ``need``.
+                         ) -> list[tuple[int, int]]:
+    """The ideals E of ``s`` with m(E) = 0 and f(E) = ``fe`` that contain ``need``.
 
-    Unsorted; bit x of a mask is set for each member x of E below fe + 1.
+    Each is given as a pair (mask, M - E), unsorted: bit x of the mask is set
+    for each member x of E below fe + 1, and M - E, M the maximal ideal, is
+    a mask with every bit from max(c(S), 1) on set.
 
     ``need`` is ``s`` or a relative ideal of ``s``, and leaves no ideal when
     it has a member below 0.  ``close``, ``s`` or a relative ideal of ``s``
@@ -369,13 +333,19 @@ def _ideal_masks_between(s: NumericalSemigroup, fe: int, need: _UpSet, close: _U
     forced gap needs are forced too and every selection extends to at least
     one ideal: the cost grows with the number of ideals returned times the
     number of eligible gaps, not with 2^(gaps below fe).
+
+    The walk carries M - E along, one AND per added gap.  It starts from
+    E_0 = S | [fe + 1, oo), for which M - E_0 = M & [f(S) - fe, oo):
+    x + S <= M for x in M, and x + [fe + 1, oo) <= M exactly when
+    x + fe + 1 > f(S).  A gap g then gives M - (E | {g}) = (M - E) & (M - g).
     """
-    if need._lo < 0:
+    # fe must be -1 or a gap
+    if need._lo < 0 or fe < -1 or fe in s:
         return []
+    members = _maximal_mask(s)
+    start = members & -1 << s.frobenius - fe  # M - E_0
     if fe == -1:
-        return [0]  # the naturals
-    if fe < 1 or fe in s:
-        return []
+        return [(0, start)]  # the naturals
     forced = need._window(0, fe + 1)
     base = s._window(0, fe)
     gaps = s._gap_mask & ((1 << fe) - 1)
@@ -386,13 +356,14 @@ def _ideal_masks_between(s: NumericalSemigroup, fe: int, need: _UpSet, close: _U
     if forced & ~(base | free):
         return []
     steps = close._window(0, fe) & ~1  # the nonzero members of close below fe
-    chosen = [0]  # bitmasks over the gaps selected so far
+    chosen = [(0, start)]  # bitmasks over the gaps selected so far, and M - E
     for g in reversed(_bits(free)):
         # g + a, a > 0 in close, below fe and outside S is a gap larger than g
         required = steps << g & gaps
-        grown = [c | 1 << g for c in chosen if c & required == required]
+        shifted = members >> g  # M - g
+        grown = [(c | 1 << g, m_e & shifted) for c, m_e in chosen if c & required == required]
         chosen = grown if forced >> g & 1 else chosen + grown
-    return [base | c for c in chosen]
+    return [(base | c, m_e) for c, m_e in chosen]
 
 
 # member x of a set with smallest member 0 reads "1" at position x, and a
@@ -409,10 +380,10 @@ def _list_order(mask: int) -> str:
     return bin(mask)[:1:-1].translate(_AS_LIST)
 
 
-def _ideal_masks(s: NumericalSemigroup, fe: int) -> list[int]:
-    """The masks of ``ideals_with_frobenius(s, fe)``, in its order."""
+def _ideal_masks(s: NumericalSemigroup, fe: int) -> list[tuple[int, int]]:
+    """The (mask, M - E) pairs of ``ideals_with_frobenius(s, fe)``, in its order."""
     # every ideal with smallest member 0 contains S and is closed under it
-    return sorted(_ideal_masks_between(s, fe, s, s), key=_list_order)
+    return sorted(_ideal_masks_between(s, fe, s, s), key=lambda pair: _list_order(pair[0]))
 
 
 def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal, ...]:
@@ -423,7 +394,7 @@ def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal
     only the ideals inside their checks' bounds.  fe values that admit no
     ideal yield the empty tuple.
     """
-    return tuple(_build(s, x, 0, fe + 1) for x in _ideal_masks(s, fe))
+    return tuple(_build(s, x, 0, fe + 1) for x, _ in _ideal_masks(s, fe))
 
 
 def _offsets(s: NumericalSemigroup, targets):
@@ -431,26 +402,22 @@ def _offsets(s: NumericalSemigroup, targets):
     return lambda fe: [b for t in targets if (b := t - 2 * fe) in s]
 
 
-def _specs(s: NumericalSemigroup, offsets, walk):
+def _specs(s: NumericalSemigroup, offsets, walk, part):
     """Yield the normalized specs over ``s`` that pass a two-part check.
 
     ``offsets(f(E))`` gives the offsets to try for each f(E), ascending, and
-    an f(E) left with none is not walked.  ``walk(f(E), bs)`` yields, for
-    each ideal it walks, its mask, as ``_ideal_masks_between`` gives it, and
-    the offsets of ``bs`` it accepts, only ones with E + E + b <= S, so the
-    specs skip the constructor's checks.  E is built once, if any passed.
+    an f(E) left with none is not walked.  ``walk(f(E))`` gives the
+    (mask, M - E) pairs of the ideals it walks, as ``_ideal_masks_between``
+    does, and ``part(x, f(E) + 1, m_e, bs)`` the offsets of ``bs`` the ideal
+    of mask x and M - E ``m_e`` accepts, only ones with E + E + b <= S, so
+    the specs skip the constructor's checks.  E is built once, if any passed.
     """
     for fe in (-1, *s.gaps):
         if bs := offsets(fe):
-            for x, accepted in walk(fe, bs):
-                if accepted:
+            for x, m_e in walk(fe):
+                if accepted := part(x, fe + 1, m_e, bs):
                     e = _build(s, x, 0, fe + 1)
                     yield from (DuplicationSpec._of(s, e, b) for b in accepted)
-
-
-def _tested(masks, part):
-    """The walk of ``_specs`` over the masks of ``masks(f(E))``, each tested by ``part(x, f(E) + 1, bs)``."""
-    return lambda fe, bs: ((x, part(x, fe + 1, bs)) for x in masks(fe))
 
 
 def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
@@ -461,15 +428,15 @@ def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
     least odd member.  The bound constrains the odd branch 2 f(E) + offset;
     callers pass max_frobenius >= 2 f(S).
     """
-    sums = _sum_offsets(s)
+    m = s.multiplicity
 
-    def part(x, c, bs):
-        ok = sums(x | -1 << c)
+    def part(x, c, m_e, bs):
+        # (M - E) - E: b > 0 is in it exactly when E + E + b <= S
+        ok = _minus(m_e, x | -1 << c, m)
         return [b for b in bs if ok >> b & 1]
 
     # every offset b >= 1 meets 2 f(E) + b >= -1, since f(E) >= -1
-    return _specs(s, _offsets(s, range(-1, max_frobenius + 1, 2)),
-                  _tested(partial(_ideal_masks, s), part))
+    return _specs(s, _offsets(s, range(-1, max_frobenius + 1, 2)), partial(_ideal_masks, s), part)
 
 
 def _certificate(t: NumericalSemigroup, spec: DuplicationSpec, kind: str) -> DoubleCertificate:
@@ -535,7 +502,8 @@ def enumerate_symmetric_doubles(s: NumericalSemigroup, max_frobenius: int) -> Do
     _check_bound(s, max_frobenius)
     f = s.frobenius
     k = canonical_ideal(s)
-    sums = _sum_offsets(s)(k._mask | -1 << k._c)
+    kk, m = k._mask | -1 << k._c, s.multiplicity
+    sums = _minus(_minus(_maximal_mask(s), kk, m), kk, m)  # (M - K) - K
     b = 1
     while b not in s:
         b += 2
@@ -566,7 +534,7 @@ def enumerate_odd_doubles(s: NumericalSemigroup, max_frobenius: int) -> DoubleFa
     def offsets(fe):
         return [b for b in in_window(fe) if b + fe - f in mk] if fe >= least else []
 
-    specs = _specs(s, offsets, _tested(_odd_ideals(s), _odd_ideal_part(s)))
+    specs = _specs(s, offsets, _odd_ideals(s), _odd_ideal_part(s))
     return _family(s, specs, KIND_ODD, False)
 
 
@@ -577,12 +545,15 @@ def enumerate_even_doubles(s: NumericalSemigroup) -> DoubleFamily:
     members have Frobenius number 2 f(S).  The search space is finite: with
     the ideal normalized to contain 0, the offset b and f(E) meet
     2 f(E) + b < 2 f(S).  Each f(E) tries only the offsets of
-    ``_even_offsets``' window, and an f(E) it leaves empty is not walked;
-    each walked ideal computes E - M only if some offset meets the sum condition.
+    ``_even_offsets``' window, and an f(E) it leaves empty is not walked.
+    The walk is ``_ideal_masks_between``'s, as for every enumerator, here
+    over the ideals with K <= E - E, and gives each ideal's M - E with its
+    mask; each walked ideal computes E - M only if some offset meets the sum
+    condition.
     """
     if s.is_naturals or not classify(s).almost_symmetric:
         return DoubleFamily(s, (), True)
-    specs = _specs(s, _even_offsets(s), _even_walk(s))
+    specs = _specs(s, _even_offsets(s), _even_ideals(s), _even_ideal_part(s))
     return _family(s, specs, KIND_EVEN, True)
 
 

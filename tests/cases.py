@@ -90,6 +90,21 @@ def odd_offsets_by_composition(s, e, bs):
     return accepted if accepted and is_numerical_semigroup_set(e.tilde().reflection_dual()) else []
 
 
+def m_minus_e_by_definition(s, elements, c):
+    """The members below max(c(S), 1) of M - E = {y >= 0 : y + E inside M}, naively.
+
+    E is the listed ``elements`` plus every integer from ``c`` on, and M is
+    S minus {0}.  Every integer from max(c(S), 1) on is in M, so only the
+    members of E below it are read: the reference the tests hold the ideal
+    walk's carried M - E to.
+    """
+    top = max(s.conductor, 1)
+    small = set(s.small_elements)
+    read = [*elements, *range(c, top)]
+    return [y for y in range(top)
+            if all(y + x >= top or y + x != 0 and y + x in small for x in read)]
+
+
 def semigroup_by_generators(gens):
     """The numerical semigroup generated by ``gens`` (gcd 1), naively.
 

@@ -40,7 +40,7 @@ from sgdouble.ideals import (
 from sgdouble.semigroup import canonical_key
 
 from cases import (D1, D2, D3, E1, E2, F2, S1, S2, ST1, T1, T2, even_offsets_by_composition,
-                   odd_offsets_by_composition)
+                   m_minus_e_by_definition, odd_offsets_by_composition)
 
 NAT_SPEC = DuplicationSpec(NATURALS, naturals_ideal(NATURALS), 1)
 
@@ -270,13 +270,14 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
         k = canonical_ideal(s)
         m = maximal_ideal(s)
         kmm = k - (m - m)
-        even_walk, odd_part = doubles._even_walk(s), doubles._odd_ideal_part(s)
+        even_ideals, even_part = doubles._even_ideals(s), doubles._even_ideal_part(s)
+        odd_part = doubles._odd_ideal_part(s)
         for fe in (-1, *range(1, f + 1)):
             pool = ideals_with_frobenius(s, fe)
             total += 2 * len(pool)
             assert all(e.tilde() <= k for e in pool), (s, fe)
-            odd = [_build(s, x, 0, fe + 1) for x in doubles._odd_ideals(s)(fe)]
-            assert sorted(odd, key=lambda e: e.elements_below) == [
+            odd = [(_build(s, x, 0, fe + 1), m_e) for x, m_e in doubles._odd_ideals(s)(fe)]
+            assert sorted((e for e, _ in odd), key=lambda e: e.elements_below) == [
                 e for e in pool if kmm <= e.tilde() <= k], (s, fe)
             offsets = range(max(1, 2 * f + 1 - 2 * fe), 2 * f + 10 - 2 * fe, 2)
             for e in pool:
@@ -286,8 +287,8 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
                     if b in s and sum_violation(s, e, b) is None:
                         assert not odd_double_check(DuplicationSpec(s, e, b)), (s, e, b)
                         dropped += 1
-            for e in odd:
-                accepted = odd_part(e._mask, fe + 1, offsets)
+            for e, m_e in odd:
+                accepted = odd_part(e._mask, fe + 1, m_e, offsets)
                 if not is_numerical_semigroup_set(k - e.tilde()):
                     assert accepted == [], (s, e)
                     continue
@@ -297,8 +298,8 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
                     assert b not in accepted or sum_violation(s, e, b) is None, (s, e, b)
                     tried += 1
             even_offsets = range(1, 2 * f - 2 * fe, 2)
-            even = [(_build(s, x, 0, fe + 1), accepted)
-                    for x, accepted in even_walk(fe, even_offsets)]
+            even = [(_build(s, x, 0, fe + 1), even_part(x, fe + 1, m_e, even_offsets))
+                    for x, m_e in even_ideals(fe)]
             assert sorted(e.elements_below for e, _ in even) == [
                 e.elements_below for e in pool if k <= e - e], (s, fe)
             for e, accepted in even:
@@ -312,6 +313,31 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
             walked += len(odd) + len(even)
     assert 0 < walked < total / 2
     assert tried == 13818 and dropped > 0
+
+
+def test_walk_carries_m_minus_e():
+    # every (mask, M - E) pair of the three walks, over every ideal, over the
+    # odd sandwich and over the ideals closed under adding K, at every f(E):
+    # below max(c(S), 1) the carried M - E is {y >= 0 : y + E inside M}, read
+    # naively, and from there on it holds every integer; on T1, <7,9>,
+    # <11,13,15,17,19,21> and every S with f(S) <= 9
+    named = [(9, 10, 14, 15), (7, 9), (11, 13, 15, 17, 19, 21)]
+    bases = [NumericalSemigroup.from_generators(gens) for gens in named]
+    bases += [s for f in (-1, *range(1, 10)) for s in oracle.enum_semigroups_with_frobenius(f)]
+    pairs = 0
+    for s in bases:
+        top = max(s.conductor, 1)
+        walks = (lambda fe: doubles._ideal_masks_between(s, fe, s, s),
+                 doubles._odd_ideals(s), doubles._even_ideals(s))
+        for fe in (-1, *s.gaps):
+            for walk in walks:
+                for x, m_e in walk(fe):
+                    e = _build(s, x, 0, fe + 1)
+                    expected = m_minus_e_by_definition(s, e.elements_below, fe + 1)
+                    assert [y for y in range(top) if m_e >> y & 1] == expected, (s, e)
+                    assert m_e >> top == -1, (s, e)
+                    pairs += 1
+    assert pairs == 10924
 
 
 def test_even_offset_kernel_matches_the_ideal_composition():
@@ -329,15 +355,20 @@ def test_even_offset_kernel_matches_the_ideal_composition():
     walked = accepted = 0
     for s in bases:
         f = s.frobenius
-        walk, offsets = doubles._even_walk(s), doubles._even_offsets(s)
+        ideals, part = doubles._even_ideals(s), doubles._even_ideal_part(s)
+        offsets = doubles._even_offsets(s)
+
+        def walk(fe, bs):
+            return {x: part(x, fe + 1, m_e, bs) for x, m_e in ideals(fe)}
+
         for fe in (-1, *s.gaps):
             window = range(1, 2 * f - 2 * fe, 2)
-            full = dict(walk(fe, window))
+            full = walk(fe, window)
             for x, kernel in full.items():
                 e = _build(s, x, 0, fe + 1)
                 assert kernel == even_offsets_by_composition(s, e, window), (s, e)
             bs = offsets(fe)
-            tried = dict(walk(fe, bs)) if bs else {}
+            tried = walk(fe, bs) if bs else {}
             assert (tried == full) if bs else not any(full.values()), (s, fe)
             walked += len(tried)
             accepted += sum(map(len, tried.values()))
@@ -371,9 +402,9 @@ def test_even_windows_hold_every_oracle_even_type_double():
 
 def test_odd_offset_kernel_matches_the_ideal_composition(monkeypatch):
     # on every ideal the odd walk visits, at the offsets the enumerator tries
-    # there up to f(T) = 2 f(S) + 41: the kernel's mask tests against
-    # E <= (M - K) + f(S) - f(E) - b and K - tilde(E) a numerical semigroup
-    # by ideal operations, on T1, <9,11,12,16,17>, <4,6,7,9>, the two
+    # there up to f(T) = 2 f(S) + 41: the kernel's mask tests, with K
+    # shifted against the walk's M - E, against E <= (M - K) + f(S) - f(E) - b
+    # and K - tilde(E) a numerical semigroup by ideal operations, on T1, <9,11,12,16,17>, <4,6,7,9>, the two
     # genus-20 bases and every S with f(S) <= 11
     named = [(9, 10, 14, 15), (9, 11, 12, 16, 17), (4, 6, 7, 9), (11, 13, 15, 17, 19, 21),
              (13, 14, 15, 17, 19, 23)]
@@ -385,9 +416,9 @@ def test_odd_offset_kernel_matches_the_ideal_composition(monkeypatch):
     def checked(s):
         part = odd_ideal_part(s)
 
-        def compared(x, c, bs):
+        def compared(x, c, m_e, bs):
             nonlocal walked, accepted
-            kernel = part(x, c, bs)
+            kernel = part(x, c, m_e, bs)
             e = _build(s, x, 0, c)
             assert kernel == odd_offsets_by_composition(s, e, bs), (s, e, bs)
             walked += 1
