@@ -19,7 +19,8 @@ base is validated once; a member's spec must name the base and pass the
 ideal and sum checks over it; its T must list the integers of the spec's
 duplicate, in any order, and its conductor, and is not rebuilt; its class
 must be one of the three kinds and fit the member, and its type must be
-the member's.
+the member's.  The members must be pairwise distinct and in canonical
+order, and only a family of even-type members may be exhaustive.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import accumulate, compress
 from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
-from .doubles import KIND_EVEN, KIND_ODD, KIND_SYMMETRIC, DoubleFamily, _certificate
+from .doubles import KIND_EVEN, KIND_ODD, KIND_SYMMETRIC, DoubleFamily, _certificate, _list_order
 from .duplication import DuplicationSpec, duplicate
 from .errors import SemigroupError
 from .ideals import RelativeIdeal, relative_ideal
@@ -227,8 +228,11 @@ def family_from_dict(d: dict) -> DoubleFamily:
     """The family of ``d``, each fact checked once; a bad member is named by its position.
 
     A member's T is not rebuilt: it must list the integers of its spec's
-    duplicate, as a set, and its conductor.
+    duplicate, as a set, and its conductor.  Each T must come after the one
+    before it in ``DoubleFamily``'s order: by conductor, then, where two
+    conductors tie, by element list.
     """
+    exhaustive = _field(d, "exhaustive", bool)
     base_dict = _field(d, "base", dict)
     base = semigroup_from_dict(base_dict)
     small, conductor = base_dict["small"], base_dict["conductor"]
@@ -239,7 +243,7 @@ def family_from_dict(d: dict) -> DoubleFamily:
             return True
         return semigroup_from_dict(x) == base
 
-    members = []
+    members, prev = [], None
     for i, m in enumerate(_field(d, "members", list)):
         spec_dict = _field(m, "spec", dict)
         e_dict = _field(spec_dict, "e", dict)
@@ -257,6 +261,13 @@ def family_from_dict(d: dict) -> DoubleFamily:
         if (_field(t_dict, "conductor", int) != t._c
                 or listed != expected and set(listed) != set(expected)):
             raise SemigroupError(f"malformed JSON: member {i} is not the duplication of its spec")
+        if prev is not None and t._c <= prev._c:
+            if t == prev:
+                raise SemigroupError(f"malformed JSON: member {i} repeats member {i - 1}")
+            if t._c < prev._c or _list_order(t._mask) < _list_order(prev._mask):
+                raise SemigroupError(
+                    f"malformed JSON: member {i} comes before member {i - 1} in canonical order")
+        prev = t
         kind = _field(m, "class", str)
         typ = _field(m, "type", int)
         cert = _certificate(t, spec, kind)
@@ -268,5 +279,8 @@ def family_from_dict(d: dict) -> DoubleFamily:
             raise SemigroupError(f"malformed JSON: class {kind!r} does not fit member {i}")
         if typ != cert.type:
             raise SemigroupError(f"malformed JSON: type {typ} is not the type of member {i}")
+        if exhaustive and kind != KIND_EVEN:
+            raise SemigroupError(
+                f"malformed JSON: member {i} is {kind}, but only an even-type family is exhaustive")
         members.append(cert)
-    return DoubleFamily(base, tuple(members), _field(d, "exhaustive", bool))
+    return DoubleFamily(base, tuple(members), exhaustive)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import compress
 from operator import attrgetter, lt
 from typing import Iterable
@@ -48,13 +48,6 @@ _CACHE_SIZE = 1024
 #: invariant are computed over [0, conductor), and past about this size a
 #: gap list alone takes hundreds of megabytes.
 CONDUCTOR_LIMIT = 2_000_000
-
-#: Largest conductor whose PF numbers are found by ANDing over the Apery set
-#: rather than the minimal generators.  Up to it the ANDs are narrow, and not
-#: listing the generators saves more than the extra ANDs cost: about 2x
-#: faster at conductors 50-512 and small m, at worst 1.2x slower (m = 64).
-#: Past it the Apery set's up to m conductor-wide ANDs cost up to 4x more.
-_APERY_SPAN = 512
 
 
 def _check_conductor(c: int) -> None:
@@ -386,18 +379,13 @@ class NumericalSemigroup(_UpSet):
         # for every g of a generating set, and for a gap x it holds outright
         # once g >= c.  So the scan is S - G, one AND per member of G's Apery
         # set: G is M's members below c plus m, whose Apery set is m with the
-        # nonzero members of {g in S : g - m not in S}, or past _APERY_SPAN
-        # the minimal generators below c.
+        # nonzero members of {g in S : g - m not in S}.
         c = self._c
         pf = ell | 1 << c >> 1  # no f for the naturals, whose c is 0
         if not ell:
             return pf
         m = self.multiplicity
-        if c > _APERY_SPAN:
-            gens = _mask_of(self.minimal_generators) & ((1 << c) - 1)
-        else:
-            gens = self._mask & ~1 | 1 << m
-        return pf & _minus(self._mask | -1 << c, gens, m)
+        return pf & _minus(self._mask | -1 << c, self._mask & ~1 | 1 << m, m)
 
     @property
     def pseudo_frobenius(self) -> tuple[int, ...]:
@@ -409,7 +397,7 @@ class NumericalSemigroup(_UpSet):
         """Number of pseudo-Frobenius numbers, counted without listing them."""
         return _pf_type(self._pf_mask)
 
-    @cached_property
+    @property
     def minimal_generators(self) -> tuple[int, ...]:
         """Unique minimal generating set: nonzero elements not a sum of two."""
         # besides the multiplicity m, a minimal generator x lies in the Apery

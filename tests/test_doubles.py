@@ -665,8 +665,8 @@ def test_certificates_are_consistent():
                     enumerate_symmetric_doubles(s, 2 * f + 41)):
             for cert in fam.members:
                 # the type and class are read from the masks, and no
-                # invariant but the minimal generators is kept on a member
-                assert set(vars(cert.double)) <= {"_lo", "_mask", "_c", "minimal_generators"}, cert
+                # invariant is kept on a member
+                assert set(vars(cert.double)) <= {"_lo", "_mask", "_c"}, cert
                 rep = classify(cert.double)
                 assert (cert.type, cert.symmetry_class) == (rep.type, rep.symmetry_class), cert
                 members += 1

@@ -157,6 +157,48 @@ def test_family_decoding_rejects_a_foreign_ideal_ambient():
         jsonio.family_from_dict({**d, "members": members})
 
 
+def _symmetric_s1_to_30():
+    d = through_json(jsonio.family_to_dict(enumerate_symmetric_doubles(S1, 30)))
+    assert len(d["members"]) == 10
+    return d
+
+
+def test_family_decoding_rejects_members_out_of_canonical_order():
+    d = _symmetric_s1_to_30()
+    with pytest.raises(SemigroupError, match="malformed JSON: member 1 comes before member 0 "):
+        jsonio.family_from_dict({**d, "members": d["members"][::-1]})
+    # members of one conductor are ordered by their element lists
+    even = through_json(jsonio.family_to_dict(enumerate_even_doubles(T1)))
+    members = even["members"]
+    i = next(i for i in range(1, len(members))
+             if members[i]["t"]["conductor"] == members[i - 1]["t"]["conductor"])
+    swapped = [*members[:i - 1], members[i], members[i - 1], *members[i + 1:]]
+    with pytest.raises(SemigroupError, match=f"malformed JSON: member {i} comes before "):
+        jsonio.family_from_dict({**even, "members": swapped})
+
+
+def test_family_decoding_rejects_a_repeated_member():
+    d = _symmetric_s1_to_30()
+    first, *rest = d["members"]
+    with pytest.raises(SemigroupError, match="malformed JSON: member 1 repeats member 0"):
+        jsonio.family_from_dict({**d, "members": [first, first, *rest]})
+    with pytest.raises(SemigroupError, match="malformed JSON: member 10 "):
+        jsonio.family_from_dict({**d, "members": [first, *rest, first]})
+
+
+def test_family_decoding_rejects_exhaustive_on_symmetric_or_odd_members():
+    d = {**_symmetric_s1_to_30(), "exhaustive": True}
+    with pytest.raises(SemigroupError, match="malformed JSON: member 0 is symmetric, "):
+        jsonio.family_from_dict(d)
+    odd = through_json(jsonio.family_to_dict(enumerate_odd_doubles(S1, 61)))
+    assert odd["members"]
+    with pytest.raises(SemigroupError, match="malformed JSON: member 0 is odd-almost-symmetric"):
+        jsonio.family_from_dict({**odd, "exhaustive": True})
+    even = through_json(jsonio.family_to_dict(enumerate_even_doubles(T1)))
+    assert even["exhaustive"] is True
+    assert jsonio.family_from_dict(even) == enumerate_even_doubles(T1)
+
+
 def written(fam):
     return "".join(jsonio.family_json_chunks(fam))
 

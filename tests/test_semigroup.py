@@ -280,8 +280,9 @@ def test_str_caches_no_member_tuple():
         if isinstance(v, NumericalSemigroup):
             assert v.type == len(v.pseudo_frobenius)
             assert set(v.second_type_gaps) <= set(v.gaps)
-        # the set core, the generators once read, and an ideal's ambient
-        assert set(vars(v)) <= {"_lo", "_mask", "_c", "minimal_generators", "ambient"}, v
+            assert v.minimal_generators
+        # the set core and an ideal's ambient, even after the generators are read
+        assert set(vars(v)) <= {"_lo", "_mask", "_c", "ambient"}, v
 
 
 # -- bitmask invariants against the definitions --------------------------------
@@ -307,7 +308,7 @@ def bitmask_cases():
                  (64, 65, 66, 67, 68, 69, 70, 71, 150),   # c = 448, 9 generators
                  (37, 401, 443, 502, 719),                # c = 2412, type 10
                  (2, 2001),                               # c = 2000, every odd x < c a gap
-                 (2, 513), (2, 515),                      # c = 512, 514: either side of _APERY_SPAN
+                 (2, 513), (2, 515),                      # c = 512, 514: a 64-byte mask and one past it
                  (6, 8, 10, 535)):                        # c = 540; PF(S) needs 535, within m of c
         cases.append(NumericalSemigroup.from_generators(gens))
     # m = c: every integer in [c, 2c) is a minimal generator
@@ -387,13 +388,14 @@ def _naive_second_type(s):
 
 
 def _pf_mask_cases():
-    """The naturals, symmetric and pseudo-symmetric S, a conductor on
-    either side of _APERY_SPAN, every S with f <= 12, and large symmetric
-    and odd-type doubles."""
+    """The naturals, symmetric and pseudo-symmetric S, conductors 512 and
+    514, a conductor past 1000 with m = 100 and L(S) not empty, every S with
+    f <= 12, and large symmetric and odd-type doubles."""
     cases = [NATURALS, S2, NumericalSemigroup.from_generators([3, 5]), S1,
              NumericalSemigroup.from_generators([3, 4, 5]),
              NumericalSemigroup.from_generators([2, 513]),   # c = 512
-             NumericalSemigroup.from_generators([2, 515])]   # c = 514
+             NumericalSemigroup.from_generators([2, 515]),   # c = 514
+             NumericalSemigroup.from_generators([100, 101, 103, 177])]   # c = 1254, type 4
     cases += [s for f in (-1, *range(1, 13)) for s in oracle.enum_semigroups_with_frobenius(f)]
     for gens, enumerate_doubles, bound in (([3, 5, 7], enumerate_symmetric_doubles, 2001),
                                            ([4, 6, 7, 9], enumerate_odd_doubles, 801)):
@@ -406,7 +408,10 @@ def test_pf_mask_matches_the_definition():
     cases = _pf_mask_cases()
     assert [classify(s).symmetry_class for s in cases[:5]] == [
         "symmetric", "symmetric", "symmetric", "pseudo-symmetric", "pseudo-symmetric"]
-    assert [s.conductor for s in cases[5:7]] == [semigroup._APERY_SPAN, semigroup._APERY_SPAN + 2]
+    assert [s.conductor for s in cases[5:7]] == [512, 514]
+    wide = cases[7]
+    assert (wide.conductor, wide.multiplicity, wide.type) == (1254, 100, 4)
+    assert len(wide.second_type_gaps) == 104
     assert max(s.conductor for s in cases) == 2002
     for s in cases:
         assert s._pf_mask == sum(1 << x for x in _naive_pf(s)), str(s)
