@@ -194,11 +194,21 @@ def _cmd_enumerate(args) -> int:
             fam = doubles_mod.enumerate_symmetric_doubles(s, args.max_frobenius)
     header = [f"base                {s}",
               f"members             {len(fam.members)} (exhaustive: {'yes' if fam.exhaustive else 'no'})"]
-    rows = (f"  {cert.double}  f={cert.double.frobenius}"
-            f"  {cert.symmetry_class} (type {cert.type})"
-            f"  via b={cert.spec.odd_offset}, E={cert.spec.ideal}"
-            for cert in fam.members)
-    _emit(args, lambda: jsonio.family_json_chunks(fam), lambda: chain(header, rows))
+
+    def rows():
+        # each T and E as its str(), from the JSON writer's listings
+        listing = jsonio._family_listing(fam)
+
+        def braced(u) -> str:
+            text = listing(u)
+            return f"{{{text}, {u._c}->}}" if text else f"{{{u._c}->}}"
+
+        for cert in fam.members:
+            yield (f"  {braced(cert.double)}  f={cert.double.frobenius}"
+                   f"  {cert.symmetry_class} (type {cert.type})"
+                   f"  via b={cert.spec.odd_offset}, E={braced(cert.spec.ideal)}")
+
+    _emit(args, lambda: jsonio.family_json_chunks(fam), lambda: chain(header, rows()))
     return 0
 
 

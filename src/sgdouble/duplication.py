@@ -92,12 +92,16 @@ def _unspread(mask: int) -> int:
 def duplicate(spec: DuplicationSpec) -> NumericalSemigroup:
     """The duplication 2*S union (2*E + offset) as a canonical semigroup."""
     s, e, b = spec.base, spec.ideal, spec.odd_offset
-    c_t = duplication_frobenius(spec) + 1
-    _check_conductor(c_t)  # about 2 f(E) + b, and b is unbounded
-    # the members below c_t: 2x for x in S, 2x + b for x in E
-    lo = e.min_element
-    mask = (_spread(s._window(0, (c_t + 1) // 2))
-            | _spread(e._window(lo, (c_t - b + 1) // 2)) << (2 * lo + b))
+    c_s, lo, c_e = s._c, e._lo, e._c
+    # f(T) + 1 for f(T) = max(2 f(S), 2 f(E) + b), about 2 f(E) + b, and b is unbounded
+    c_t = max(2 * c_s - 1, 2 * c_e + b - 1)
+    _check_conductor(c_t)
+    # the members below c_t: 2x for x in S below (c_t + 1) // 2 and 2y + b
+    # for y in E below (c_t - b + 1) // 2, both bounds at least the set's
+    # conductor, so each core gains its all-ones tail up to the bound
+    h_s, h_e = (c_t + 1) // 2, (c_t - b + 1) // 2 - lo
+    mask = (_spread(s._mask | (1 << h_s) - (1 << c_s))
+            | _spread(e._mask | (1 << h_e) - (1 << c_e - lo)) << 2 * lo + b)
     return NumericalSemigroup._of(0, mask, c_t)
 
 

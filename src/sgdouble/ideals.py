@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter, lt
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import AmbientMismatch, BoundTooLarge, NotAnIdeal
 from .semigroup import (
@@ -172,6 +172,36 @@ def _build(ambient: NumericalSemigroup, mask: int, lo: int, bound: int) -> Relat
     return e
 
 
+def _ideal_reader(ambient: NumericalSemigroup) -> Callable[[Iterable[int], int], RelativeIdeal]:
+    """``read(elems, conductor)``, which is ``relative_ideal(ambient, elems, conductor)``.
+
+    The ambient's minimal generators, which the ideal check reads, are
+    listed once here, for every ideal read over ``ambient``.
+    """
+    gens = ambient.minimal_generators
+
+    def read(elems: Iterable[int], conductor: int) -> RelativeIdeal:
+        below = {e for e in elems if e < conductor}
+        lo = min(below, default=conductor)
+        _check_span(lo, conductor)
+        ideal = _build(ambient, _mask_of(below, lo), lo, conductor)
+        # Checking the minimal generators of the ambient semigroup against
+        # the listed elements is complete: sums involving the tail of either
+        # set land past the ideal's conductor, and closure under the
+        # generators implies closure under every element they generate.  One
+        # mask test per generator g: the listed e with e + g outside the
+        # ideal.
+        lo, c = ideal._lo, ideal._c
+        escapes = [(lo + (bad & -bad).bit_length() - 1, g) for g in gens
+                   if (bad := ideal._mask & ~ideal._window(lo + g, c + g))]
+        if escapes:
+            e, g = min(escapes)
+            raise NotAnIdeal(f"{e} + {g} = {e + g} escapes the set", witness=(e, g))
+        return ideal
+
+    return read
+
+
 def relative_ideal(ambient: NumericalSemigroup, elems: Iterable[int],
                    conductor: int) -> RelativeIdeal:
     """Validating constructor from a raw member list plus conductor.
@@ -183,22 +213,7 @@ def relative_ideal(ambient: NumericalSemigroup, elems: Iterable[int],
     otherwise.  A span c(E) - m(E) past ``semigroup.CONDUCTOR_LIMIT`` raises
     :class:`BoundTooLarge`.
     """
-    below = {e for e in elems if e < conductor}
-    lo = min(below, default=conductor)
-    _check_span(lo, conductor)
-    ideal = _build(ambient, _mask_of(below, lo), lo, conductor)
-    # Checking the minimal generators of the ambient semigroup against the
-    # listed elements is complete: sums involving the tail of either set land
-    # past the ideal's conductor, and closure under the generators implies
-    # closure under every element they generate.  One mask test per
-    # generator g: the listed e with e + g outside the ideal.
-    lo, c = ideal._lo, ideal._c
-    escapes = [(lo + (bad & -bad).bit_length() - 1, g) for g in ambient.minimal_generators
-               if (bad := ideal._mask & ~ideal._window(lo + g, c + g))]
-    if escapes:
-        e, g = min(escapes)
-        raise NotAnIdeal(f"{e} + {g} = {e + g} escapes the set", witness=(e, g))
-    return ideal
+    return _ideal_reader(ambient)(elems, conductor)
 
 
 def maximal_ideal(s: NumericalSemigroup) -> RelativeIdeal:

@@ -27,18 +27,19 @@ from __future__ import annotations
 
 from itertools import accumulate, compress
 from json.encoder import encode_basestring_ascii
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .doubles import KIND_EVEN, KIND_ODD, KIND_SYMMETRIC, DoubleFamily, _certificate, _list_order
 from .duplication import DuplicationSpec, duplicate
 from .errors import SemigroupError
-from .ideals import RelativeIdeal, relative_ideal
+from .ideals import RelativeIdeal, _ideal_reader, relative_ideal
 from .semigroup import (
     NOT_ALMOST_SYMMETRIC,
     SYMMETRIC,
     ClassificationReport,
     NumericalSemigroup,
     _flags,
+    _UpSet,
 )
 
 # Python types of the decoded JSON values.  Fields are tested by exact type,
@@ -151,75 +152,95 @@ def family_to_dict(fam: DoubleFamily) -> dict:
     }
 
 
-def family_json_chunks(fam: DoubleFamily) -> Iterator[str]:
-    """The text of ``json.dumps(family_to_dict(fam), sort_keys=True)``, in chunks.
+def _family_listing(fam: DoubleFamily) -> Callable[[_UpSet], str]:
+    """``listing(u)``: the ", "-joined members below the conductor of any set ``u`` of ``fam``.
 
-    A header, then one chunk per member, then the closing ``]}``.  Each
-    integer list is read from its set's mask, so no list of ints is built.
-    In any set, the members between its highest even non-member and its
-    lowest odd member are exactly the even integers there: that run is cut
-    as one slice from a text of the family's even decimals, written once,
-    and only the members below and above it are joined one by one, from a
-    table of decimal strings.  In a double T of S, made of 2S and 2E + b,
-    the run starts past 2 f(S) and ends below the least odd member, so what
-    is joined spans O(f(S)) integers, not f(T).  The base's text is
-    formatted once and reused.
+    The sets of ``fam`` are its base, each member's T and each spec's
+    semigroups and ideal.  Each listing is read from its set's mask, so no
+    list of ints is built.  In any set, the members between its highest
+    even non-member and its lowest odd member are exactly the even integers
+    there: that run is cut as one slice from a text of the family's even
+    decimals, written once, and only the members below and above it are
+    joined one by one, from a table of decimal strings.  In a double T of
+    S, made of 2S and 2E + b, the run starts past 2 f(S) and ends below the
+    least odd member, so what is joined spans O(f(S)) integers, not f(T).
+    What every listing shares, the table, the text and the even bits of
+    either parity, is computed here, once per family.
     """
     s, certs = fam.base, fam.members
     lo = min([0, *(c.spec.ideal._lo for c in certs)])
     hi = max([s._c, *(c.double._c for c in certs), *(c.spec.ideal._c for c in certs)])
     table = list(map(str, range(lo, hi)))
-    # the even decimals from the least even lo0 >= lo, ", "-joined, and
-    # where each starts: even x runs from starts[i] to starts[i + 1] - 2
+    # ", " before each even decimal from the least even lo0 >= lo, and where
+    # each starts: even x runs from starts[i] + 2 to starts[i + 1], its
+    # separator from starts[i]
     lo0 = lo + (lo & 1)
     evens = table[lo0 - lo::2]
-    even_text = ", ".join(evens)
+    even_text = "".join(map(", ".__add__, evens))
     starts = list(accumulate((len(d) + 2 for d in evens), initial=0))
     alternate = int("01" * ((hi - lo) // 2 + 1), 2)  # bits 0, 2, 4, ...
+    # bit i of a set's mask stands for its m + i: the masks of its even and
+    # of its odd bits, by the parity of m
+    parities = ((alternate, alternate << 1), (alternate << 1, alternate))
 
     def joined(mask: int, start: int) -> str:
         # the decimals lo + start + i for the set bits i of mask
         flags = _flags(mask)
         return ", ".join(compress(table[start:start + len(flags)], flags))
 
-    def ints(u) -> str:
+    def listing(u: _UpSet) -> str:
         ulo, mask, width = u._lo, u._mask, u._c - u._lo
-        # bit i of u's mask stands for ulo + i: even where i has ulo's parity
-        even_bits = alternate << (ulo & 1)
-        gaps = ~mask & ((1 << width) - 1)
-        odd_members = mask & ~even_bits
-        gap = (gaps & even_bits).bit_length() - 1  # -1 if none
+        even_bits, odd_bits = parities[ulo & 1]
+        gap = (~mask & even_bits & ((1 << width) - 1)).bit_length() - 1  # -1 if none
+        odd_members = mask & odd_bits
         odd = (odd_members & -odd_members).bit_length() - 1 if odd_members else width
         first = gap + 1 + ((ulo + gap + 1) & 1)  # the least even after the gap
         last = odd - 1 - ((ulo + odd - 1) & 1)   # the greatest even before the odd member
         start = ulo - lo
         if first > last:
-            return "[" + joined(mask, start) + "]"
+            return joined(mask, start)
+        head = joined(mask & ((1 << first) - 1), start)
+        tail = joined(mask >> (last + 1), start + last + 1)
+        # the run with the separators its neighbours need: a tail member
+        # lies below c(u) - 1 <= hi - 1, so the even after the run is listed
         i, j = (ulo + first - lo0) // 2, (ulo + last - lo0) // 2
-        parts = (joined(mask & ((1 << first) - 1), start),
-                 even_text[starts[i]:starts[j + 1] - 2],
-                 joined(mask >> (last + 1), start + last + 1))
-        return "[" + ", ".join(filter(None, parts)) + "]"
+        run = even_text[starts[i] + (0 if head else 2):starts[j + 1] + (2 if tail else 0)]
+        return f"{head}{run}{tail}"
+
+    return listing
+
+
+def family_json_chunks(fam: DoubleFamily) -> Iterator[str]:
+    """The text of ``json.dumps(family_to_dict(fam), sort_keys=True)``, in chunks.
+
+    A header, then one chunk per member, then the closing ``]}``.  Each
+    integer list is ``_family_listing``'s.  The base's text and each kind's
+    are formatted once and reused, and each member's chunk is one f-string.
+    """
+    s, certs = fam.base, fam.members
+    listing = _family_listing(fam)
 
     def semigroup(t: NumericalSemigroup) -> str:
-        return f'{{"conductor": {t._c}, "small": {ints(t)}}}'
-
-    # a spec's base and its ideal's ambient are the family's base in every
-    # family the enumerators or family_from_dict build
-    def over(t: NumericalSemigroup) -> str:
-        return base if t == s else semigroup(t)
+        return f'{{"conductor": {t._c}, "small": [{listing(t)}]}}'
 
     base = semigroup(s)
+
+    # a spec's base and its ideal's ambient are the family's base object in
+    # every family the enumerators or family_from_dict build
+    def over(t: NumericalSemigroup) -> str:
+        return base if t is s or t == s else semigroup(t)
+
+    kinds = {kind: encode_basestring_ascii(kind) for kind in {c.kind for c in certs}}
     yield (f'{{"base": {base}, "exhaustive": {"true" if fam.exhaustive else "false"}, '
            f'"members": [')
     sep = ""
     for c in certs:
-        spec, e = c.spec, c.spec.ideal
-        yield (f'{sep}{{"class": {encode_basestring_ascii(c.kind)}, '
+        spec, e, t = c.spec, c.spec.ideal, c.double
+        yield (f'{sep}{{"class": {kinds[c.kind]}, '
                f'"spec": {{"b": {spec.odd_offset}, '
                f'"e": {{"ambient": {over(e.ambient)}, "conductor": {e._c}, '
-               f'"elements": {ints(e)}}}, "s": {over(spec.base)}}}, '
-               f'"t": {semigroup(c.double)}, "type": {c.type}}}')
+               f'"elements": [{listing(e)}]}}, "s": {over(spec.base)}}}, '
+               f'"t": {{"conductor": {t._c}, "small": [{listing(t)}]}}, "type": {c.type}}}')
         sep = ", "
     yield "]}"
 
@@ -243,6 +264,7 @@ def family_from_dict(d: dict) -> DoubleFamily:
             return True
         return semigroup_from_dict(x) == base
 
+    ideal = _ideal_reader(base)  # every member's ideal is over the base
     members, prev = [], None
     for i, m in enumerate(_field(d, "members", list)):
         spec_dict = _field(m, "spec", dict)
@@ -251,7 +273,7 @@ def family_from_dict(d: dict) -> DoubleFamily:
             raise SemigroupError(f"malformed JSON: the spec of member {i} is not over the base")
         spec = DuplicationSpec(
             base,
-            relative_ideal(base, _ints(e_dict, "elements"), _field(e_dict, "conductor", int)),
+            ideal(_ints(e_dict, "elements"), _field(e_dict, "conductor", int)),
             _field(spec_dict, "b", int),
         )
         t_dict = _field(m, "t", dict)

@@ -120,3 +120,21 @@ def semigroup_by_generators(gens):
         member.append(any(g <= x and member[x - g] for g in gens))
     c = len(member) - member[::-1].index(False) if False in member else 0
     return NumericalSemigroup([x for x in range(c) if member[x]], c)
+
+
+def duplicate_by_definition(spec):
+    """The duplication {2x : x in S} | {2y + b : y in E} of ``spec``, naively.
+
+    n is a member exactly when it is even with n / 2 in S, or odd with
+    (n - b) / 2 in E, each read from the listed members and the conductor.
+    Every n from max(2 c(S), 2 c(E) + b) on is a member, so the last
+    non-member below that bound is the Frobenius number: the reference the
+    tests hold ``duplicate`` to.
+    """
+    s, e, b = spec.base, spec.ideal, spec.odd_offset
+    small, below = set(s.small_elements), set(e.elements_below)
+    member = [x // 2 >= s.conductor or x // 2 in small if x % 2 == 0
+              else (x - b) // 2 >= e.ideal_conductor or (x - b) // 2 in below
+              for x in range(max(2 * s.conductor, 2 * e.ideal_conductor + b))]
+    c = len(member) - member[::-1].index(False) if False in member else 0
+    return NumericalSemigroup([x for x in range(c) if member[x]], c)

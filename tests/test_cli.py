@@ -28,6 +28,7 @@ from sgdouble.doubles import ideals_with_frobenius
 from sgdouble.errors import SemigroupError
 from sgdouble import jsonio
 
+import cases
 from cases import S1, T1
 
 
@@ -147,6 +148,32 @@ def test_enumerate_json_is_one_compact_sorted_line(capsys):
         assert code == 0
         assert fam.members
         assert out == json.dumps(jsonio.family_to_dict(fam), sort_keys=True) + "\n"
+
+
+def test_enumerate_human_rows_print_each_set_as_its_str(capsys):
+    # the rows list T and E from the JSON writer's listings: the text of
+    # str(), on every family of the named bases, and on <3,5,7>'s odd and
+    # symmetric families to 200
+    named = [getattr(cases, name) for name in ("S1", "S2", "T1", "ST1", "T2", "D1", "D2", "D3")]
+    runs = [(s, "even", None) for s in named]
+    runs += [(s, parity, 2 * s.frobenius + 41) for s in named for parity in ("odd", "symmetric")]
+    runs += [(cases.S1, parity, 200) for parity in ("odd", "symmetric")]
+    enumerators = {"even": lambda s, bound: enumerate_even_doubles(s),
+                   "odd": enumerate_odd_doubles, "symmetric": enumerate_symmetric_doubles}
+    rows = 0
+    for s, parity, bound in runs:
+        fam = enumerators[parity](s, bound)
+        argv = ["enumerate-doubles", "--small", ",".join(map(str, s.small_elements)),
+                "--conductor", str(s.conductor), "--parity", parity]
+        code, out, _ = run(capsys, *argv, *(["--max-frobenius", str(bound)] if bound else []))
+        assert code == 0
+        expected = [f"  {cert.double}  f={cert.double.frobenius}"
+                    f"  {cert.symmetry_class} (type {cert.type})"
+                    f"  via b={cert.spec.odd_offset}, E={cert.spec.ideal}"
+                    for cert in fam.members]
+        assert out.splitlines()[2:] == expected, (s, parity)
+        rows += len(expected)
+    assert rows == 1241
 
 
 class _Discard:

@@ -17,13 +17,13 @@ from sgdouble import (
     oracle,
     relative_ideal,
 )
-from sgdouble.doubles import ideals_with_frobenius
+from sgdouble.doubles import candidate_specs, ideals_with_frobenius
 from sgdouble.duplication import sum_violation
 from sgdouble.errors import AmbientMismatch, InvalidB, SumNotInS
 from sgdouble.ideals import RelativeIdeal
 from sgdouble.semigroup import _pair_violation
 
-from cases import D1, D2, D3, E1, E2, E4, F2, S1, S2, ST1, T1, T2
+from cases import D1, D2, D3, E1, E2, E4, F2, S1, S2, ST1, T1, T2, duplicate_by_definition
 
 NAT_SPEC = DuplicationSpec(NATURALS, naturals_ideal(NATURALS), 1)
 
@@ -155,6 +155,27 @@ class TestDecompose:
                 spec = decompose(t, b)
                 assert duplicate(spec) == t
                 assert spec.base == half(t)
+
+
+def test_duplicate_matches_the_definition():
+    # every valid normalized spec over each S with f(S) <= 7 up to
+    # f(T) = 2 f(S) + 21, the naturals' up to 41; then every decomposition
+    # of those doubles whose ideal reaches below 0, b past T's least odd
+    # member
+    bases = [s for f in (-1, *range(1, 8)) for s in oracle.enum_semigroups_with_frobenius(f)]
+    assert bases[0] == NATURALS
+    specs = [spec for s in bases
+             for spec in candidate_specs(s, 41 if s.is_naturals else 2 * s.frobenius + 21)]
+    assert len(specs) == 5084
+    assert sum(spec.base == NATURALS for spec in specs) == 22
+    for spec in specs:
+        assert duplicate(spec) == duplicate_by_definition(spec), spec
+    below_zero = [spec for t in {duplicate(spec) for spec in specs}
+                  for b in range(1, t.frobenius + 3, 2) if 2 * b in t
+                  if (spec := decompose(t, b)).ideal.min_element < 0]
+    assert len(below_zero) == 25692
+    for spec in below_zero:
+        assert duplicate(spec) == duplicate_by_definition(spec), spec
 
 
 def test_duplication_frobenius():

@@ -94,6 +94,23 @@ def test_family_decoding_validates_the_base_once(monkeypatch):
     assert decoded == [S1.conductor]
 
 
+def test_family_decoding_lists_the_base_generators_once(monkeypatch):
+    # every member's ideal is checked against the base's minimal
+    # generators, listed once for the whole family
+    fam = enumerate_even_doubles(T1)
+    d = through_json(jsonio.family_to_dict(fam))
+    listed = []
+    real = NumericalSemigroup.minimal_generators
+
+    def counted(s):
+        listed.append(s)
+        return real.fget(s)
+
+    monkeypatch.setattr(NumericalSemigroup, "minimal_generators", property(counted))
+    assert jsonio.family_from_dict(d) == fam
+    assert len(fam.members) == 59 and listed == [T1]
+
+
 def _decoder_families():
     return [enumerate_symmetric_doubles(S1, 201),
             enumerate_odd_doubles(NumericalSemigroup.from_generators([4, 6, 7, 9]), 101),
