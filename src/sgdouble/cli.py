@@ -15,7 +15,6 @@ import argparse
 import json
 import random
 import sys
-from itertools import chain
 from typing import Callable, Iterable
 
 from . import doubles as doubles_mod
@@ -49,12 +48,6 @@ def _add_semigroup_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gens", type=_csv_ints, help="generators, e.g. 3,5,7")
     p.add_argument("--small", type=_csv_ints, help="elements below the conductor, e.g. 0,3")
     p.add_argument("--conductor", type=int, help="conductor paired with --small")
-
-
-def _add_ideal_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ideal", type=_csv_ints, required=True,
-                   help="ideal elements below its conductor (negatives allowed: --ideal=-1,3)")
-    p.add_argument("--ideal-conductor", type=int, required=True)
 
 
 def _semigroup(args) -> NumericalSemigroup:
@@ -192,10 +185,9 @@ def _cmd_enumerate(args) -> int:
             fam = doubles_mod.enumerate_odd_doubles(s, args.max_frobenius)
         else:
             fam = doubles_mod.enumerate_symmetric_doubles(s, args.max_frobenius)
-    header = [f"base                {s}",
-              f"members             {len(fam.members)} (exhaustive: {'yes' if fam.exhaustive else 'no'})"]
-
     def rows():
+        yield f"base                {s}"
+        yield f"members             {len(fam.members)} (exhaustive: {'yes' if fam.exhaustive else 'no'})"
         # each T and E as its str(), from the JSON writer's listings
         listing = jsonio._family_listing(fam)
 
@@ -208,7 +200,7 @@ def _cmd_enumerate(args) -> int:
                    f"  {cert.symmetry_class} (type {cert.type})"
                    f"  via b={cert.spec.odd_offset}, E={braced(cert.spec.ideal)}")
 
-    _emit(args, lambda: jsonio.family_json_chunks(fam), lambda: chain(header, rows()))
+    _emit(args, lambda: jsonio.family_json_chunks(fam), rows)
     return 0
 
 
@@ -382,63 +374,71 @@ def _cmd_verify(args) -> int:
 # -- argument wiring --------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sgdouble",
-        description="numerical semigroups, relative ideals, duplication, and doubles",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("info", _cmd_info, "basic invariants of a semigroup")
+def _add_double_args(p: argparse.ArgumentParser) -> None:
     _add_semigroup_args(p)
-
-    p = add("classify", _cmd_classify, "symmetry classification")
-    _add_semigroup_args(p)
-
-    p = add("double", _cmd_double, "numerical duplication of a semigroup by an ideal")
-    _add_semigroup_args(p)
-    _add_ideal_args(p)
+    p.add_argument("--ideal", type=_csv_ints, required=True,
+                   help="ideal elements below its conductor (negatives allowed: --ideal=-1,3)")
+    p.add_argument("--ideal-conductor", type=int, required=True)
     p.add_argument("--b", type=int, required=True, help="odd element of the base")
 
-    p = add("half", _cmd_half, "one half of a semigroup")
-    _add_semigroup_args(p)
 
-    p = add("decompose", _cmd_decompose, "realize a semigroup as a duplication of its half")
+def _add_decompose_args(p: argparse.ArgumentParser) -> None:
     _add_semigroup_args(p)
     p.add_argument("--b", type=int, required=True, help="odd integer with 2b in the semigroup")
 
-    p = add("enumerate-doubles", _cmd_enumerate, "doubles of a semigroup, by kind")
+
+def _add_enumerate_args(p: argparse.ArgumentParser) -> None:
     _add_semigroup_args(p)
     p.add_argument("--parity", choices=("even", "odd", "symmetric"), required=True)
     p.add_argument("--max-frobenius", type=int,
                    help="bound for the infinite families (ignored for even)")
 
-    p = add("witness-even", _cmd_witness, "one even-type almost symmetric double")
-    _add_semigroup_args(p)
 
-    p = add("verify", _cmd_verify, "cross-validate the kernel against the brute-force oracle")
+def _add_verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-frobenius", type=int, default=9)
     p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
+
+#: name -> (handler, help line, argument adder), in the order of the help.
+_COMMANDS = {
+    "info": (_cmd_info, "basic invariants of a semigroup", _add_semigroup_args),
+    "classify": (_cmd_classify, "symmetry classification", _add_semigroup_args),
+    "double": (_cmd_double, "numerical duplication of a semigroup by an ideal", _add_double_args),
+    "half": (_cmd_half, "one half of a semigroup", _add_semigroup_args),
+    "decompose": (_cmd_decompose, "realize a semigroup as a duplication of its half",
+                  _add_decompose_args),
+    "enumerate-doubles": (_cmd_enumerate, "doubles of a semigroup, by kind", _add_enumerate_args),
+    "witness-even": (_cmd_witness, "one even-type almost symmetric double", _add_semigroup_args),
+    "verify": (_cmd_verify, "cross-validate the kernel against the brute-force oracle",
+               _add_verify_args),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; only ``command``'s gets its arguments, if it is given."""
+    parser = argparse.ArgumentParser(
+        prog="sgdouble", description="numerical semigroups, relative ideals, duplication, and doubles")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, add_args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+            add_args(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser has no option but -h, so a first token naming a command is the
+    # subcommand argparse runs, and no other one parses or prints: only it needs arguments
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        return args.fn(args)
+        return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (SemigroupError, ValueError) as exc:
-        if getattr(args, "json", False):
+        if args.json:
             print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         else:
             print(f"error: {exc}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -26,7 +27,7 @@ from sgdouble import (
 from sgdouble.cli import _sampled_ideals, main
 from sgdouble.doubles import ideals_with_frobenius
 from sgdouble.errors import SemigroupError
-from sgdouble import jsonio
+from sgdouble import cli, jsonio
 
 import cases
 from cases import S1, T1
@@ -41,6 +42,21 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     return code, json.loads(out), err
+
+
+def run_or_exit(argv):
+    """stdout, stderr and exit code of ``main(argv)``, an argparse exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+COMMANDS = ["info", "classify", "double", "half", "decompose", "enumerate-doubles",
+            "witness-even", "verify"]
 
 
 def test_info(capsys):
@@ -386,6 +402,69 @@ def test_usage_error_bad_integer_list(capsys):
     assert "expected comma-separated integers, got '3,x'" in capsys.readouterr().err
 
 
+# each command's help, an unknown option, a bad integer and every missing
+# required argument; top-level help, an unknown command, an option first
+_PARSER_ARGV = [
+    *([command, "-h"] for command in COMMANDS),
+    *([command, "--bogus"] for command in COMMANDS),
+    *([command, "--gens", "3,x"] for command in COMMANDS[:-1]),
+    ["verify", "--max-frobenius=3,x"],
+    ["double", "--gens", "3,5,7", "--ideal", "0,2", "--ideal-conductor", "3"],
+    ["decompose", "--gens", "3,5"],
+    ["enumerate-doubles", "--gens", "3,5,7"],
+    ["-h"],
+    ["frobnicate"],
+    ["--bogus", "info", "--gens", "3,5"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGV, ids=" ".join)
+def test_per_command_parser_prints_what_the_full_one_prints(monkeypatch, argv):
+    # main gives arguments only to the subparser named first; one with every
+    # subparser's arguments prints the same help, usage and errors
+    monkeypatch.setenv("COLUMNS", "80")
+    mine = run_or_exit(argv)
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command: build())
+    assert run_or_exit(argv) == mine
+
+
+def _count_add_argument(monkeypatch) -> list:
+    """A list that gets one entry per ``add_argument`` call from now on."""
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    return calls
+
+
+def test_only_the_command_named_gets_its_arguments(capsys, monkeypatch):
+    # -h on the top-level parser and on each of the eight subparsers, then
+    # info's --json and three semigroup arguments: 46 if every subparser got
+    # its arguments
+    calls = _count_add_argument(monkeypatch)
+    assert run(capsys, "info", "--gens", "3,5")[0] == 0
+    assert len(calls) == 13
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["info", "--gens", "3,5"], 13),
+    (["enumerate-doubles", "--gens", "3,5,7", "--parity", "even", "--json"], 15),
+])
+def test_main_reads_sys_argv_when_called_without_argv(capsys, monkeypatch, argv, built):
+    # the console script calls main(): it reads the command from sys.argv
+    # before it builds the parser
+    code, out, _ = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["sgdouble", *argv])
+    calls = _count_add_argument(monkeypatch)
+    assert (main(), capsys.readouterr().out) == (code, out)
+    assert code == 0 and out and len(calls) == built
+
+
 def test_verify_small(capsys):
     code, out, err = run(capsys, "verify", "--max-frobenius", "5")
     assert code == 0
@@ -506,7 +585,8 @@ def cli_argv(draw):
 
     Generators run from 1 to 9 (the largest even walk is about <8,9>),
     family bounds up to 2f + 60 and verify up to --max-frobenius 3.  Now and
-    then an argument is missing, or the semigroup is given both ways.
+    then an argument is missing, or the semigroup is given both ways, or a
+    stray token comes first: --json, -x, frobnicate or a second command name.
     """
     def opt(flag, values):
         if draw(st.integers(0, 5)) == 0:
@@ -516,8 +596,7 @@ def cli_argv(draw):
     def csv(xs):
         return ",".join(map(str, xs))
 
-    command = draw(st.sampled_from(["info", "classify", "double", "half", "decompose",
-                                    "enumerate-doubles", "witness-even", "verify"]))
+    command = draw(st.sampled_from(COMMANDS))
     argv = [command]
     if command == "verify":
         argv += opt("--max-frobenius", st.integers(-2, 3)) + opt("--seed", st.integers(-5, 5))
@@ -553,19 +632,15 @@ def cli_argv(draw):
             argv += opt("--max-frobenius", st.integers(-5, 2 * f + 60) | _HUGE)
     if draw(st.booleans()):
         argv.append("--json")
+    if draw(st.integers(0, 5)) == 0:  # a stray first token: every subparser is built
+        argv.insert(0, draw(st.sampled_from(["--json", "-x", "frobnicate", *COMMANDS])))
     return argv
 
 
 @settings(max_examples=150, deadline=5000)
 @given(cli_argv())
 def test_cli_answers_or_rejects_every_input(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    out, err = out.getvalue(), err.getvalue()
+    out, err, code = run_or_exit(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in out + err, argv
     if code == 1 and "--json" in argv:
