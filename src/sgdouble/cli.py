@@ -415,13 +415,16 @@ _COMMANDS = {
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand; only ``command``'s gets its arguments, if it is given."""
+    """The parser of ``command``'s subcommand, or of every subcommand if none is given."""
     parser = argparse.ArgumentParser(
         prog="sgdouble", description="numerical semigroups, relative ideals, duplication, and doubles")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a named command's usage still lists every command; with none named the default stands,
+    # as a metavar would also replace "command" in the missing and invalid-choice errors
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
     for name, (_, help_text, add_args) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
         if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
             p.add_argument("--json", action="store_true", help="machine-readable output")
             add_args(p)
     return parser
@@ -430,7 +433,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # the top-level parser has no option but -h, so a first token naming a command is the
-    # subcommand argparse runs, and no other one parses or prints: only it needs arguments
+    # subcommand argparse runs, and no other one parses or prints: only it is built
     args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args)

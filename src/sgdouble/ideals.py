@@ -233,11 +233,6 @@ def naturals_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     return _build(s, 0, 0, 0)
 
 
-def unit_ideal(s: NumericalSemigroup) -> RelativeIdeal:
-    """``s`` viewed as a relative ideal of itself."""
-    return _build(s, s._mask, 0, s._c)
-
-
 def is_numerical_semigroup_set(e: RelativeIdeal) -> bool:
     """True if the member set of ``e`` is itself a numerical semigroup.
 

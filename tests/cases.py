@@ -8,7 +8,7 @@ decomposition with a proper ideal.
 """
 
 from sgdouble import NumericalSemigroup, naturals_ideal, relative_ideal
-from sgdouble.ideals import canonical_ideal, is_numerical_semigroup_set, maximal_ideal, unit_ideal
+from sgdouble.ideals import canonical_ideal, is_numerical_semigroup_set, maximal_ideal
 from sgdouble.semigroup import _reverse
 
 S1 = NumericalSemigroup.from_generators([3, 5, 7])                 # {0, 3, 5->}
@@ -27,6 +27,11 @@ E3 = relative_ideal(S1, [0], 3)         # {0, 3->}
 E4 = relative_ideal(S1, [0, 1], 3)      # {0, 1, 3->}
 K1 = relative_ideal(S1, [0, 2, 3], 5)   # standard canonical ideal of S1
 F2 = relative_ideal(S2, [2, 3, 4], 6)   # {2, 3, 4, 6->} over S2
+
+
+def unit_ideal(s):
+    """``s`` viewed as a relative ideal of itself."""
+    return relative_ideal(s, s.small_elements, s.conductor)
 
 
 # Two more characterizations of almost symmetry, equivalent to the definition

@@ -31,9 +31,9 @@ from sgdouble.cli import main
 from sgdouble.doubles import candidate_specs, ideals_with_frobenius
 from sgdouble.duplication import sum_violation
 from sgdouble.errors import InvalidB
-from sgdouble.ideals import canonical_ideal, maximal_ideal, unit_ideal
+from sgdouble.ideals import canonical_ideal, maximal_ideal
 
-from cases import D1, D2, D3, E1, E2, E3, E4, F2, S1, S2, ST1, T1, T2, criteria
+from cases import D1, D2, D3, E1, E2, E3, E4, F2, S1, S2, ST1, T1, T2, criteria, unit_ideal
 
 
 @contextlib.contextmanager

@@ -393,6 +393,14 @@ def test_usage_error_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+    assert "error: argument command: invalid choice: 'frobnicate'" in capsys.readouterr().err
+
+
+def test_usage_error_no_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: the following arguments are required: command\n")
 
 
 def test_usage_error_bad_integer_list(capsys):
@@ -403,7 +411,9 @@ def test_usage_error_bad_integer_list(capsys):
 
 
 # each command's help, an unknown option, a bad integer and every missing
-# required argument; top-level help, an unknown command, an option first
+# required argument; an unrecognized trailing argument, which the top-level
+# parser reports with its usage; top-level help, an unknown command, an
+# option first
 _PARSER_ARGV = [
     *([command, "-h"] for command in COMMANDS),
     *([command, "--bogus"] for command in COMMANDS),
@@ -412,6 +422,9 @@ _PARSER_ARGV = [
     ["double", "--gens", "3,5,7", "--ideal", "0,2", "--ideal-conductor", "3"],
     ["decompose", "--gens", "3,5"],
     ["enumerate-doubles", "--gens", "3,5,7"],
+    ["info", "--gens", "3,5", "extra"],
+    ["verify", "extra"],
+    ["enumerate-doubles", "--gens", "3,5", "--parity", "odd", "x"],
     ["-h"],
     ["frobnicate"],
     ["--bogus", "info", "--gens", "3,5"],
@@ -420,8 +433,8 @@ _PARSER_ARGV = [
 
 @pytest.mark.parametrize("argv", _PARSER_ARGV, ids=" ".join)
 def test_per_command_parser_prints_what_the_full_one_prints(monkeypatch, argv):
-    # main gives arguments only to the subparser named first; one with every
-    # subparser's arguments prints the same help, usage and errors
+    # main builds only the subparser named first; the parser with every
+    # subparser prints the same help, usage and errors
     monkeypatch.setenv("COLUMNS", "80")
     mine = run_or_exit(argv)
     build = cli._build_parser
@@ -429,38 +442,51 @@ def test_per_command_parser_prints_what_the_full_one_prints(monkeypatch, argv):
     assert run_or_exit(argv) == mine
 
 
-def _count_add_argument(monkeypatch) -> list:
-    """A list that gets one entry per ``add_argument`` call from now on."""
+def _count_calls(monkeypatch, method: str) -> list:
+    """A list that gets one entry per call of ``ArgumentParser.<method>`` from now on."""
     calls = []
-    add_argument = argparse.ArgumentParser.add_argument
+    original = getattr(argparse.ArgumentParser, method)
 
     def counting(self, *args, **kwargs):
         calls.append(args)
-        return add_argument(self, *args, **kwargs)
+        return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, method, counting)
     return calls
 
 
 def test_only_the_command_named_gets_its_arguments(capsys, monkeypatch):
-    # -h on the top-level parser and on each of the eight subparsers, then
-    # info's --json and three semigroup arguments: 46 if every subparser got
-    # its arguments
-    calls = _count_add_argument(monkeypatch)
+    # -h on the top-level parser and on info's, then info's --json and three
+    # semigroup arguments: 46 if every subparser were built with its arguments
+    calls = _count_calls(monkeypatch, "add_argument")
     assert run(capsys, "info", "--gens", "3,5")[0] == 0
-    assert len(calls) == 13
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("argv, built", [
-    (["info", "--gens", "3,5"], 13),
-    (["enumerate-doubles", "--gens", "3,5,7", "--parity", "even", "--json"], 15),
+    (["info", "--gens", "3,5"], 2),
+    (["verify", "extra"], 2),
+    (["-h"], 9),
+    (["frobnicate"], 9),
+])
+def test_only_the_command_named_gets_a_parser(monkeypatch, argv, built):
+    # the top-level parser and the named command's; the top-level help and
+    # the invalid-choice error need all eight subparsers
+    calls = _count_calls(monkeypatch, "__init__")
+    run_or_exit(argv)
+    assert len(calls) == built
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["info", "--gens", "3,5"], 6),
+    (["enumerate-doubles", "--gens", "3,5,7", "--parity", "even", "--json"], 8),
 ])
 def test_main_reads_sys_argv_when_called_without_argv(capsys, monkeypatch, argv, built):
     # the console script calls main(): it reads the command from sys.argv
     # before it builds the parser
     code, out, _ = run(capsys, *argv)
     monkeypatch.setattr(sys, "argv", ["sgdouble", *argv])
-    calls = _count_add_argument(monkeypatch)
+    calls = _count_calls(monkeypatch, "add_argument")
     assert (main(), capsys.readouterr().out) == (code, out)
     assert code == 0 and out and len(calls) == built
 

@@ -38,12 +38,11 @@ from sgdouble.ideals import (
     is_numerical_semigroup_set,
     maximal_ideal,
     relative_ideal,
-    unit_ideal,
 )
 from sgdouble.semigroup import canonical_key
 
 from cases import (D1, D2, D3, E1, E2, F2, S1, S2, ST1, T1, T2, even_offsets_by_composition,
-                   m_minus_e_by_definition, odd_offsets_by_composition)
+                   m_minus_e_by_definition, odd_offsets_by_composition, unit_ideal)
 
 NAT_SPEC = DuplicationSpec(NATURALS, naturals_ideal(NATURALS), 1)
 

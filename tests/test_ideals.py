@@ -12,10 +12,10 @@ from sgdouble import (
     relative_ideal,
 )
 from sgdouble.errors import AmbientMismatch, BoundTooLarge, NotAnIdeal
-from sgdouble.ideals import RelativeIdeal, unit_ideal
+from sgdouble.ideals import RelativeIdeal
 from sgdouble.semigroup import CONDUCTOR_LIMIT
 
-from cases import E1, E2, E3, E4, F2, K1, S1, S2, ST1
+from cases import E1, E2, E3, E4, F2, K1, S1, S2, ST1, unit_ideal
 
 
 def ideal(ambient, elems, conductor):

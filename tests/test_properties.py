@@ -30,9 +30,8 @@ import sgdouble
 from sgdouble import oracle
 from sgdouble.doubles import candidate_specs, ideals_with_frobenius
 from sgdouble.duplication import DuplicationSpec, sum_violation
-from sgdouble.ideals import unit_ideal
 
-from cases import ST1, T1, criteria
+from cases import ST1, T1, criteria, unit_ideal
 
 
 # two consecutive generators force gcd 1
