@@ -3,14 +3,15 @@
 Everything here recomputes from first principles with naive loops over plain
 integer sets, deliberately sharing no set algebra with the kernel modules;
 agreement between the two routes is what the test suite and the CLI verify
-command establish.  The searches are exponential, so hard limits keep them
-at desk scale: Frobenius numbers up to SEMIGROUP_LIMIT for semigroups and
-ideals, and up to DOUBLE_LIMIT for doubles.
+command establish.  Each search decides the integers up to its bound in
+increasing order, forcing and rejecting as it goes, so its cost grows with
+the number of sets it returns times the bound.  Those numbers grow
+exponentially, so hard limits keep the searches at desk scale: Frobenius
+numbers up to SEMIGROUP_LIMIT for semigroups and ideals, and up to
+DOUBLE_LIMIT for doubles.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .errors import BoundTooLarge, InvalidFrobenius
 from .ideals import RelativeIdeal, naturals_ideal, relative_ideal
@@ -74,8 +75,14 @@ def enum_semigroups_with_frobenius(frob: int) -> list[NumericalSemigroup]:
 def enum_relative_ideals(s: NumericalSemigroup, fe: int) -> list[RelativeIdeal]:
     """All relative ideals of ``s`` with smallest element 0 and Frobenius ``fe``.
 
-    Subset search over the integers strictly between 0 and fe, filtered by a
-    naive translation-invariance loop; results are rebuilt through the
+    Depth-first search over the integers between 1 and fe - 1, with 0
+    already chosen, in the manner of the semigroup census.  E is such an
+    ideal exactly when e + m, for every member e of E and every nonzero m
+    of ``s``, is in E when below fe and is not fe itself.  Each such
+    condition is decided at the larger integer it names: x may join only
+    if fe - x is not in ``s``, and may stay out only if no chosen e has
+    x - e in ``s``.  The leaves are therefore exactly the ideals, and cost
+    grows with their number times fe.  Results are rebuilt through the
     validating constructor.
     """
     if fe == 0:
@@ -87,24 +94,24 @@ def enum_relative_ideals(s: NumericalSemigroup, fe: int) -> list[RelativeIdeal]:
     if fe > SEMIGROUP_LIMIT:
         raise BoundTooLarge(f"Frobenius bound {fe} exceeds the limit {SEMIGROUP_LIMIT}")
 
-    smem = [x for x in _members(s, fe + 1) if x > 0]
-    out = []
-    for r in range(fe):
-        for extra in combinations(range(1, fe), r):
-            mem = {0, *extra}
-            ok = True
-            for e in mem:
-                for m in smem:
-                    t = e + m
-                    if t > fe:
-                        break
-                    if t not in mem:  # covers t == fe, which is never a member
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(relative_ideal(s, sorted(mem), fe + 1))
+    smem = {x for x in _members(s, fe + 1) if x > 0}
+    if fe in smem:
+        return []  # 0 + fe would have to be a member
+    out: list[RelativeIdeal] = []
+    chosen = [0]
+
+    def place(x: int) -> None:
+        if x == fe:
+            out.append(relative_ideal(s, list(chosen), fe + 1))
+            return
+        if fe - x not in smem:
+            chosen.append(x)
+            place(x + 1)
+            chosen.pop()
+        if all(x - e not in smem for e in chosen):  # else some e + m forces x
+            place(x + 1)
+
+    place(1)
     out.sort(key=lambda e: e.elements_below)
     return out
 
@@ -135,52 +142,45 @@ def brute_classify(s: NumericalSemigroup) -> ClassificationReport:
     return ClassificationReport(f, gaps, ell, pf, len(pf), cls)
 
 
-def _iter_doubles(s: NumericalSemigroup, max_frobenius: int):
-    """Yield every semigroup T with half exactly ``s`` and f(T) <= the bound.
+def _iter_doubles(s: NumericalSemigroup, max_frobenius: int) -> list[NumericalSemigroup]:
+    """Every semigroup T with half exactly ``s`` and f(T) <= the bound, unsorted.
 
     The even members of such a T are exactly the doubled members of ``s``;
-    the search runs over the sets of odd members up to the bound (every odd
-    integer past it belongs to T).  Closure is checked with naive loops.
+    the search decides its odd members up to the bound (every odd integer
+    past it belongs to T) in increasing order, in the manner of the
+    semigroup census.  A set O of odd integers is the odd part of such a T
+    exactly when (o + o') / 2 is in ``s`` for all o, o' in O, and o + 2m is
+    in O for every o in O and nonzero m in ``s`` with o + 2m <= the bound.
+    Each such condition is decided at the larger integer it names: x may
+    join only if (x + o) / 2 is in ``s`` for o = x and every chosen o, and
+    may stay out only if no chosen o has (x - o) / 2 in ``s``.  The leaves
+    are therefore exactly the odd parts, and cost grows with their number
+    times the bound.  Membership is read with naive loops.
     """
     hi = max_frobenius
-    if 2 * s.frobenius > hi:
-        return  # the even part already misses 2 f(S) beyond the window
+    if max(2 * s.frobenius, -1) > hi:
+        return []  # f(T) >= 2 f(S), and f(T) >= -1, already exceeds the bound
     half_sorted = _members(s, hi + 1)
     half_members = set(half_sorted)
-    odd_pool = list(range(1, hi + 1, 2))
-    for r in range(len(odd_pool) + 1):
-        for chosen in combinations(odd_pool, r):
-            odds = set(chosen)
-            ok = True
-            # odd + odd must land on a doubled member of s
-            for i, o in enumerate(chosen):
-                for o2 in chosen[i:]:
-                    if (o + o2) // 2 not in half_members:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            # odd + even must stay among the odd members
-            if ok:
-                for o in chosen:
-                    for m in half_sorted:
-                        t = o + 2 * m
-                        if t > hi:
-                            break
-                        if m > 0 and t not in odds:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if not ok:
-                continue
-            missing_odd = [x for x in odd_pool if x not in odds]
-            f_t = max(2 * s.frobenius, missing_odd[-1] if missing_odd else -1)
-            small = sorted(
-                {2 * m for m in half_members if 2 * m <= f_t}
-                | {o for o in odds if o <= f_t}
-            )
-            yield NumericalSemigroup.from_small_elements(small, f_t + 1)
+    evens = [2 * m for m in half_sorted]
+    out: list[NumericalSemigroup] = []
+    chosen: list[int] = []
+
+    def place(x: int, last_missing: int) -> None:
+        if x > hi:
+            f_t = max(2 * s.frobenius, last_missing)
+            small = sorted([n for n in evens if n <= f_t] + [o for o in chosen if o <= f_t])
+            out.append(NumericalSemigroup.from_small_elements(small, f_t + 1))
+            return
+        if x in half_members and all((x + o) // 2 in half_members for o in chosen):
+            chosen.append(x)
+            place(x + 2, last_missing)
+            chosen.pop()
+        if all((x - o) // 2 not in half_members for o in chosen):  # else o + 2m forces x
+            place(x + 2, x)
+
+    place(1, -1)
+    return out
 
 
 def brute_all_doubles(s: NumericalSemigroup, max_frobenius: int) -> list[NumericalSemigroup]:

@@ -7,6 +7,8 @@ conditions are not sufficient; T1 is the semigroup that admits no
 decomposition with a proper ideal.
 """
 
+from itertools import combinations
+
 from sgdouble import NumericalSemigroup, naturals_ideal, relative_ideal
 from sgdouble.ideals import canonical_ideal, is_numerical_semigroup_set, maximal_ideal
 from sgdouble.semigroup import _reverse
@@ -143,3 +145,90 @@ def duplicate_by_definition(spec):
               for x in range(max(2 * s.conductor, 2 * e.ideal_conductor + b))]
     c = len(member) - member[::-1].index(False) if False in member else 0
     return NumericalSemigroup([x for x in range(c) if member[x]], c)
+
+
+def _members_below(s, hi):
+    small = set(s.small_elements)
+    return [x for x in range(hi) if x in small or x >= s.conductor]
+
+
+def ideals_by_subsets(s, fe):
+    """The relative ideals of ``s`` with smallest element 0 and Frobenius ``fe``, by subsets.
+
+    Tries every set of integers strictly between 0 and fe, filtered by a
+    naive translation-invariance loop, and sorts as the oracle does: the
+    reference the tests hold ``oracle.enum_relative_ideals``' ordered
+    search to.  fe is -1 or positive.
+    """
+    if fe == -1:
+        return [naturals_ideal(s)]
+    smem = [x for x in _members_below(s, fe + 1) if x > 0]
+    out = []
+    for r in range(fe):
+        for extra in combinations(range(1, fe), r):
+            mem = {0, *extra}
+            ok = True
+            for e in mem:
+                for m in smem:
+                    t = e + m
+                    if t > fe:
+                        break
+                    if t not in mem:  # covers t == fe, which is never a member
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                out.append(relative_ideal(s, sorted(mem), fe + 1))
+    out.sort(key=lambda e: e.elements_below)
+    return out
+
+
+def doubles_by_subsets(s, max_frobenius):
+    """Every semigroup T with half exactly ``s`` and f(T) <= the bound, by subsets.
+
+    Tries every set of odd integers up to the bound as the odd part of T,
+    filtered by naive closure loops: the reference the tests hold
+    ``oracle._iter_doubles``' ordered search to.  Unsorted.
+    """
+    hi = max_frobenius
+    if max(2 * s.frobenius, -1) > hi:
+        return []  # f(T) >= 2 f(S), and f(T) >= -1, already exceeds the bound
+    half_sorted = _members_below(s, hi + 1)
+    half_members = set(half_sorted)
+    odd_pool = list(range(1, hi + 1, 2))
+    out = []
+    for r in range(len(odd_pool) + 1):
+        for chosen in combinations(odd_pool, r):
+            odds = set(chosen)
+            ok = True
+            # odd + odd must land on a doubled member of s
+            for i, o in enumerate(chosen):
+                for o2 in chosen[i:]:
+                    if (o + o2) // 2 not in half_members:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            # odd + even must stay among the odd members
+            if ok:
+                for o in chosen:
+                    for m in half_sorted:
+                        t = o + 2 * m
+                        if t > hi:
+                            break
+                        if m > 0 and t not in odds:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+            if not ok:
+                continue
+            missing_odd = [x for x in odd_pool if x not in odds]
+            f_t = max(2 * s.frobenius, missing_odd[-1] if missing_odd else -1)
+            small = sorted(
+                {2 * m for m in half_members if 2 * m <= f_t}
+                | {o for o in odds if o <= f_t}
+            )
+            out.append(NumericalSemigroup.from_small_elements(small, f_t + 1))
+    return out

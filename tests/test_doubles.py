@@ -609,6 +609,26 @@ def test_kernel_matches_oracle_at_frobenius_10_to_13():
 
 
 @pytest.mark.slow
+def test_families_match_oracle_at_its_double_cap():
+    # the three enumerators against one odd-part search at f(T) <= 40,
+    # oracle.DOUBLE_LIMIT, split by the parity of f(T) and by symmetry, on
+    # every S with f(S) <= 9
+    bases = [s for f in (-1, *range(1, 10)) for s in oracle.enum_semigroups_with_frobenius(f)]
+    bound = oracle.DOUBLE_LIMIT
+    doubles = 0
+    for s in bases:
+        found = oracle.brute_doubles(s, "any", bound)
+        even = [c.double for c in enumerate_even_doubles(s).members]
+        assert even == [t for t in found if t.frobenius % 2 == 0], s
+        odd = [c.double for c in enumerate_odd_doubles(s, bound).members]
+        assert odd == [t for t in found if t.frobenius % 2 != 0], s
+        sym = [c.double for c in enumerate_symmetric_doubles(s, bound).members]
+        assert sym == [t for t in found if oracle.brute_classify(t).symmetric], s
+        doubles += len(found)
+    assert (len(bases), doubles) == (58, 5337)
+
+
+@pytest.mark.slow
 def test_even_family_matches_oracle_at_frobenius_12_to_15():
     # the K-closed walk and the kernel's mask offset and sum tests against the
     # oracle's brute search, on all 118 almost symmetric S with 12 <= f(S) <= 15

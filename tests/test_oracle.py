@@ -3,8 +3,13 @@ import pytest
 from sgdouble import NATURALS, NumericalSemigroup, classify, duplicate, half, witness_even_double
 from sgdouble import oracle
 from sgdouble.errors import BoundTooLarge, InvalidFrobenius
+from sgdouble.semigroup import canonical_key
 
-from cases import D1, D2, D3, E2, E3, E4, S1, S2, criteria
+from cases import D1, D2, D3, E2, E3, E4, S1, S2, criteria, doubles_by_subsets, ideals_by_subsets
+
+
+def _census(top):
+    return [s for f in (-1, *range(1, top + 1)) for s in oracle.enum_semigroups_with_frobenius(f)]
 
 
 def test_census_by_frobenius_number():
@@ -45,6 +50,43 @@ def test_ideal_census_errors():
         oracle.enum_relative_ideals(S1, -2)
     with pytest.raises(BoundTooLarge):
         oracle.enum_relative_ideals(S1, 21)
+
+
+def test_ideal_census_matches_subset_search():
+    # the ordered search against every subset of (0, fe), at fe = -1 and
+    # every fe <= min(f(S) + 5, 15), on every S with f(S) <= 9
+    found = 0
+    for s in _census(9):
+        for fe in (-1, *range(1, min(s.frobenius + 5, 15) + 1)):
+            got = oracle.enum_relative_ideals(s, fe)
+            assert got == ideals_by_subsets(s, fe), (s, fe)
+            found += len(got)
+    assert found == 2737
+
+
+def test_double_search_matches_subset_search():
+    # the ordered search against every subset of the odd integers up to the
+    # bound, at 2 f(S), 2 f(S) + 1, 2 f(S) + 5 and 2 f(S) + 9, on every S
+    # with f(S) <= 9
+    found = 0
+    for s in _census(9):
+        f = s.frobenius
+        for bound in (2 * f, 2 * f + 1, 2 * f + 5, 2 * f + 9):
+            got = sorted(oracle._iter_doubles(s, bound), key=canonical_key)
+            assert got == sorted(doubles_by_subsets(s, bound), key=canonical_key), (s, bound)
+            found += len(got)
+    assert found == 13487
+
+
+def test_double_search_stops_below_the_naturals():
+    # f(N) = -1: no double of N lies below it, whatever 2 f(N) = -2 allows
+    assert oracle.brute_all_doubles(NATURALS, -2) == []
+    assert oracle.brute_doubles(NATURALS, "odd", -2) == []
+    assert oracle.brute_doubles(NATURALS, "any", -2) == []
+    assert oracle.brute_all_doubles(NATURALS, -1) == [NATURALS]
+    assert oracle.brute_doubles(NATURALS, "odd", -1) == [NATURALS]
+    assert oracle.brute_doubles(NATURALS, "even", -1) == []
+    assert oracle.brute_all_doubles(S1, 2 * S1.frobenius - 1) == []
 
 
 def test_brute_doubles_reference_family():
