@@ -13,23 +13,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from typing import Callable, Iterable
 
 from . import doubles as doubles_mod
-from . import jsonio, oracle
-from .duplication import (
-    DuplicationSpec,
-    decompose,
-    duplicate,
-    duplication_canonical_ideal,
-    duplication_frobenius,
-    half,
-    normalize_params,
-)
+# verify is loaded with the CLI, not inside _cmd_verify: the benchmark's tracer
+# (perfbench/tracing.py) patches and restores kernel functions only in the
+# sgdouble modules loaded when it is installed
+from . import jsonio, verify
+from .duplication import DuplicationSpec, decompose, duplicate, half
 from .errors import SemigroupError
-from .ideals import _build, canonical_ideal, maximal_ideal, relative_ideal
+from .ideals import relative_ideal
 from .semigroup import NumericalSemigroup, classify
 
 
@@ -219,153 +213,22 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-# -- verify ---------------------------------------------------------------------
-
-
-def _check_classifiers(census, rng):
-    n = 0
-    for s in census:
-        n += 1
-        mine = classify(s)
-        ref = oracle.brute_classify(s)
-        if mine != ref:
-            return n, False, f"classifier mismatch on {s}"
-        if NumericalSemigroup.from_small_elements(s.small_elements, s.conductor) != s:
-            return n, False, f"round trip failed on {s}"
-        if not (set(mine.pseudo_frobenius) - {mine.frobenius} <= set(mine.second_type_gaps)):
-            return n, False, f"PF outside L on {s}"
-        if mine.almost_symmetric and (mine.type % 2) != (mine.frobenius % 2):
-            return n, False, f"type/frobenius parity failed on {s}"
-    return n, True, ""
-
-
-def _sampled_ideals(s: NumericalSemigroup, rng: random.Random) -> list:
-    """Up to 8 ideals drawn by ``rng`` from those of ``ideals_with_frobenius(s, fe)``
-    over fe = -1 and the gaps of ``s``, listed in that order.
-
-    The draw is made among their masks, and only the drawn ideals are built.
-    """
-    pool = [(fe, x) for fe in (-1, *s.gaps) for x, _ in doubles_mod._ideal_masks(s, fe)]
-    return [_build(s, x, 0, fe + 1) for fe, x in rng.sample(pool, min(len(pool), 8))]
-
-
-def _check_ideal_duality(census, rng):
-    n = 0
-    for s in census:
-        m = maximal_ideal(s)
-        k = canonical_ideal(s)
-        # union with the definitional PF set, which is empty for the naturals
-        # (the -1 convention marker is not a member of anything)
-        pf = () if s.is_naturals else s.pseudo_frobenius
-        expected = relative_ideal(s, [*s.small_elements, *pf], s.conductor)
-        if (m - m) != expected:
-            return n, False, f"M - M mismatch on {s}"
-        for e in _sampled_ideals(s, rng):
-            n += 1
-            dual = k - e
-            if e.reflection_dual() != dual:
-                return n, False, f"dual mismatch for {e} over {s}"
-            if (k - dual) != e:
-                return n, False, f"double dual failed for {e} over {s}"
-    return n, True, ""
-
-
-def _check_duplication(census, rng):
-    n = 0
-    for t in census:
-        for b in range(1, t.frobenius + 3, 2):
-            if (2 * b) not in t:
-                continue
-            n += 1
-            spec = decompose(t, b)
-            if duplicate(spec) != t or half(t) != spec.base:
-                return n, False, f"round trip failed on {t} at b={b}"
-            if duplication_frobenius(spec) != t.frobenius:
-                return n, False, f"frobenius formula failed on {t} at b={b}"
-            if duplication_canonical_ideal(spec) != canonical_ideal(t):
-                return n, False, f"canonical formula failed on {t} at b={b}"
-            norm = normalize_params(spec)
-            if norm.ideal.min_element != 0 or duplicate(norm) != t:
-                return n, False, f"normalization failed on {t} at b={b}"
-    return n, True, ""
-
-
-def _check_theorems(census, rng):
-    n = 0
-    for s in census:
-        f = s.frobenius
-        for spec in doubles_mod.candidate_specs(s, 2 * f + 5):
-            n += 1
-            rep = classify(duplicate(spec))
-            odd = rep.almost_symmetric and rep.frobenius % 2 != 0
-            if doubles_mod.odd_double_check(spec) != odd:
-                return n, False, f"odd-type checker mismatch on {spec}"
-            if doubles_mod.symmetric_double_check(spec) != rep.symmetric:
-                return n, False, f"symmetric checker mismatch on {spec}"
-            if 2 * f > 2 * spec.ideal.frobenius + spec.odd_offset:
-                if doubles_mod.even_double_check(spec) != rep.almost_symmetric:
-                    return n, False, f"even-type checker mismatch on {spec}"
-    return n, True, ""
-
-
-def _check_families(census, rng):
-    n = 0
-    for s in census:
-        n += 1
-        f = s.frobenius
-        # one oracle search, split by the parity of f(T): T's even members
-        # are 2S, so an even f(T) is 2 f(S)
-        found = oracle.brute_doubles(s, "any", 2 * f + 5)
-        even = [c.double for c in doubles_mod.enumerate_even_doubles(s).members]
-        if even != [t for t in found if t.frobenius % 2 == 0]:
-            return n, False, f"even family mismatch on {s}"
-        odd = [c.double for c in doubles_mod.enumerate_odd_doubles(s, 2 * f + 5).members]
-        if odd != [t for t in found if t.frobenius % 2 != 0]:
-            return n, False, f"odd family mismatch on {s}"
-        for t in even + odd:
-            r = doubles_mod.half_type_report(t)
-            if not (r.bound_ok and r.count_ok and r.even_pf_bound_ok and r.half_frobenius_ok):
-                return n, False, f"half-type relation failed on {t}"
-        nonempty = bool(even)
-        expected = (not s.is_naturals) and classify(s).almost_symmetric
-        if nonempty != expected:
-            return n, False, f"even-family emptiness wrong on {s}"
-    return n, True, ""
-
-
-#: (name, check, cap): each check runs on the semigroups with f at most
-#: min(--max-frobenius, cap), in order of f, and verify names every capped
-#: check on stderr.
-_VERIFY_CHECKS = [
-    ("classifier-agreement", _check_classifiers, 12),
-    ("ideal-duality", _check_ideal_duality, 9),
-    ("duplication-roundtrip", _check_duplication, 9),
-    ("theorem-checkers", _check_theorems, 6),
-    ("families-vs-oracle", _check_families, 6),
-]
-
-
 def _cmd_verify(args) -> int:
     if args.max_frobenius < 1:
         raise UsageError(f"--max-frobenius must be at least 1, got {args.max_frobenius}")
-    rng = random.Random(args.seed)
-    top = min(args.max_frobenius, max(cap for _, _, cap in _VERIFY_CHECKS))
-    census = [s for f in (-1, *range(1, top + 1)) for s in oracle.enum_semigroups_with_frobenius(f)]
     results = []
-    ok_all = True
-    for name, fn, cap in _VERIFY_CHECKS:
-        if args.max_frobenius > cap:
-            print(f"note: {name} runs at --max-frobenius {cap}", file=sys.stderr)
-        bound = min(args.max_frobenius, cap)
-        cases, ok, detail = fn([s for s in census if s.frobenius <= bound], rng)
-        ok_all &= ok
-        results.append({"name": name, "cases": cases, "ok": ok, "detail": detail})
+    for r in verify.run(args.max_frobenius, args.seed):
+        if r.bound < args.max_frobenius:
+            print(f"note: {r.name} runs at --max-frobenius {r.bound}", file=sys.stderr)
+        results.append(r)
         if not args.json:
-            status = "ok  " if ok else "FAIL"
-            tail = f" ({detail})" if detail else ""
-            print(f"{status} {name}: {cases} cases{tail}")
+            status = "ok  " if r.ok else "FAIL"
+            tail = f" ({r.detail})" if r.detail else ""
+            print(f"{status} {r.name}: {r.cases} cases{tail}")
+    ok_all = all(r.ok for r in results)
     if args.json:
-        print(json.dumps({"ok": ok_all, "checks": results}, sort_keys=True))
+        checks = [{"name": r.name, "cases": r.cases, "ok": r.ok, "detail": r.detail} for r in results]
+        print(json.dumps({"ok": ok_all, "checks": checks}, sort_keys=True))
     elif ok_all:
         print("all checks passed")
     return 0 if ok_all else 1

@@ -57,18 +57,6 @@ class DoubleCertificate:
     type: int
     symmetry_class: str
 
-    @classmethod
-    def _of(cls, double: NumericalSemigroup, spec: DuplicationSpec, kind: str, type: int,
-            symmetry_class: str):
-        """Unchecked construction, with the fields in their declared order."""
-        cert = object.__new__(cls)
-        object.__setattr__(cert, "double", double)
-        object.__setattr__(cert, "spec", spec)
-        object.__setattr__(cert, "kind", kind)
-        object.__setattr__(cert, "type", type)
-        object.__setattr__(cert, "symmetry_class", symmetry_class)
-        return cert
-
     @property
     def report(self) -> ClassificationReport:
         """``classify(self.double)``."""
@@ -460,8 +448,7 @@ def _certificate(t: NumericalSemigroup, spec: DuplicationSpec, kind: str) -> Dou
     """
     ell = t._second_type_mask
     pf = t._pf_among(ell)
-    return DoubleCertificate._of(t, spec, kind, _pf_type(pf),
-                                 _symmetry_class(t._c - 1, pf, ell))
+    return DoubleCertificate(t, spec, kind, _pf_type(pf), _symmetry_class(t._c - 1, pf, ell))
 
 
 def _family(base: NumericalSemigroup, specs, kind: str, exhaustive: bool) -> DoubleFamily:

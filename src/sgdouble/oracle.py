@@ -2,10 +2,10 @@
 
 Everything here recomputes from first principles with naive loops over plain
 integer sets, deliberately sharing no set algebra with the kernel modules;
-agreement between the two routes is what the test suite and the CLI verify
-command establish.  Each search decides the integers up to its bound in
-increasing order, forcing and rejecting as it goes, so its cost grows with
-the number of sets it returns times the bound.  Those numbers grow
+agreement between the two routes is what the test suite and
+``sgdouble.verify`` establish.  Each search decides the integers up to its
+bound in increasing order, forcing and rejecting as it goes, so its cost
+grows with the number of sets it returns times the bound.  Those numbers grow
 exponentially, so hard limits keep the searches at desk scale: Frobenius
 numbers up to SEMIGROUP_LIMIT for semigroups and ideals, and up to
 DOUBLE_LIMIT for doubles.

@@ -24,10 +24,11 @@ from sgdouble import (
     odd_double_check,
     oracle,
 )
-from sgdouble.cli import _sampled_ideals, main
+from sgdouble.cli import main
 from sgdouble.doubles import ideals_with_frobenius
 from sgdouble.errors import SemigroupError
-from sgdouble import cli, jsonio
+from sgdouble.verify import _sampled_ideals
+from sgdouble import cli, jsonio, verify
 
 import cases
 from cases import S1, T1
@@ -528,6 +529,20 @@ def test_verify_json(capsys):
     assert [c["name"] for c in data["checks"]] == VERIFY_CHECKS
 
 
+def test_verify_library_route(capsys):
+    # sgdouble.verify.run yields what the CLI prints, each check with its
+    # capped bound, and prints nothing itself
+    records = list(verify.run(4, 7))
+    assert capsys.readouterr() == ("", "")
+    code, data, _ = run_json(capsys, "verify", "--max-frobenius", "4", "--seed", "7")
+    assert code == 0
+    assert [r[:1] + r[2:] for r in records] == [
+        (c["name"], c["cases"], c["ok"], c["detail"]) for c in data["checks"]]
+    assert tuple(r.bound for r in verify.run(7)) == (7, 7, 7, 6, 6)
+    assert tuple(r.bound for r in verify.run(12)) == (12, 9, 9, 6, 6)
+    assert capsys.readouterr() == ("", "")
+
+
 def _misreported_type(s):
     rep = classify(s)
     return dataclasses.replace(rep, type=rep.type + 1)
@@ -569,9 +584,9 @@ def test_verify_draws_the_ideals_of_the_full_pool(seed):
 
 # each wrong kernel answer is seen by its own check only
 @pytest.mark.parametrize("check, target, wrong", [
-    ("classifier-agreement", "sgdouble.cli.classify", _misreported_type),
-    ("ideal-duality", "sgdouble.cli.maximal_ideal", canonical_ideal),
-    ("duplication-roundtrip", "sgdouble.cli.duplication_canonical_ideal",
+    ("classifier-agreement", "sgdouble.verify.classify", _misreported_type),
+    ("ideal-duality", "sgdouble.verify.maximal_ideal", canonical_ideal),
+    ("duplication-roundtrip", "sgdouble.verify.duplication_canonical_ideal",
      lambda spec: maximal_ideal(duplicate(spec))),
     ("theorem-checkers", "sgdouble.doubles.odd_double_check",
      lambda spec: not odd_double_check(spec)),

@@ -689,7 +689,7 @@ def test_certificates_are_consistent():
                 # the type and class are read from the masks, and no
                 # invariant is kept on a member
                 assert set(vars(cert.double)) <= {"_lo", "_mask", "_c"}, cert
-                # built unchecked, a certificate is the one its fields construct
+                # a certificate is the one its fields construct
                 built = DoubleCertificate(*(getattr(cert, f.name) for f in dataclasses.fields(cert)))
                 assert cert == built and hash(cert) == hash(built), cert
                 rep = classify(cert.double)
