@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .duplication import DuplicationSpec, duplicate, duplication_frobenius, half
 from .errors import BoundTooLarge, BoundTooSmall, HypothesisViolated, IsNaturals, NotAlmostSymmetric
@@ -135,18 +135,6 @@ def _base_context(s: NumericalSemigroup) -> _BaseContext:
     return _BaseContext(kmm, mk, mk - kmm)
 
 
-def _odd_ideals(s: NumericalSemigroup):
-    """For each f(E) = fe, the (mask, M - E) pairs of the ideals with K - (M - M) <= tilde(E) <= K.
-
-    tilde(E) = E + f(S) - fe, so E contains K - (M - M) + fe - f(S).  The
-    other half holds for every relative ideal: x in E with f(E) - x in S
-    would put f(E) in E + S <= E.
-    """
-    kmm = _base_context(s).kmm
-    f = s.frobenius
-    return lambda fe: _ideal_masks_between(s, fe, kmm.translate(fe - f), s)
-
-
 def _odd_dual_ok(s: NumericalSemigroup, x: int, c: int) -> bool:
     """True if K - tilde(E) = {z : f(E) - z not in E}, E's gaps mirrored, is a numerical semigroup.
 
@@ -191,19 +179,17 @@ def odd_double_check(spec: DuplicationSpec) -> bool:
     """True exactly when the duplication is almost symmetric with odd type.
 
     The necessary conditions plus the offset condition
-    offset + shift + E + K <= M, where shift = f(E) - f(S), tested on the
-    spec normalized as in ``even_double_check``, which changes none of them.
+    offset + shift + E + K <= M, where shift = f(E) - f(S); the offset
+    condition and K - tilde(E) a numerical semigroup are tested by
+    ``_accepts``.
     """
     s, e, b = spec.base, spec.ideal, spec.odd_offset
-    # f(T) = 2 f(E) + b exactly when 2 f(E) + b, an odd number, exceeds 2 f(S);
-    # then the sandwich, which the odd enumerator's walk holds
+    # f(T) = 2 f(E) + b exactly when 2 f(E) + b, an odd number, exceeds 2 f(S),
+    # so b + 2 shift > 0 and, with b > 0, b + shift > 0; then the sandwich,
+    # which the odd enumerator's walk holds
     if 2 * e.frobenius + b <= 2 * s.frobenius or not _base_context(s).kmm <= e.tilde():
         return False
-    lo = e.min_element
-    b += 2 * lo  # lo + lo + b, odd and in S by the sum condition: b > 0, so b + shift > 0
-    x, c = e._mask, e._c - lo
-    m_e = _minus(_maximal_mask(s), x | -1 << c, s.multiplicity)
-    return _odd_ideal_part(s)(x, c, m_e, (b,)) == [b]
+    return _accepts(spec, _odd_ideal_part)
 
 
 def _maximal_mask(s: NumericalSemigroup) -> int:
@@ -267,45 +253,40 @@ def _even_offsets(s: NumericalSemigroup):
     return offsets
 
 
-def _even_ideals(s: NumericalSemigroup):
-    """For each f(E) = fe, the (mask, M - E) pairs of the ideals at fe with K <= E - E.
-
-    K <= E - E is E + K <= E, as 0 is in E, so E holds every sum of members
-    of K: the walk needs the additive closure of K, computed once here.
-    """
-    k = canonical_ideal(s)
-    closure = k
-    while (grown := closure + k) != closure:
-        closure = grown
-    return lambda fe: _ideal_masks_between(s, fe, closure, k)
-
-
 def even_double_check(spec: DuplicationSpec) -> bool:
     """True exactly when the duplication is almost symmetric (with even type).
 
     Only meaningful under the hypothesis 2 f(S) > 2 f(E) + offset, which
     forces an even Frobenius number on the double; outside it the question
     belongs to ``odd_double_check`` and this raises
-    :class:`HypothesisViolated` rather than guessing.  The spec is first
-    normalized, (E, b) to (E - m(E), b + 2 m(E)): K <= E - E, the offset
-    condition and the sum condition are unchanged by it.
+    :class:`HypothesisViolated` rather than guessing.  S almost symmetric
+    and K <= E - E are tested as stated, the offset and sum conditions by
+    ``_accepts``.
     """
     s, e, b = spec.base, spec.ideal, spec.odd_offset
     if 2 * s.frobenius <= 2 * e.frobenius + b:
         raise HypothesisViolated(
             "even-type check requires 2 f(S) > 2 f(E) + offset"
         )
-    if not classify(s).almost_symmetric:
+    if not classify(s).almost_symmetric or not canonical_ideal(s) <= e - e:
         return False
-    lo, m = e.min_element, s.multiplicity
-    b += 2 * lo  # lo + lo + b, in S by the sum condition
+    return _accepts(spec, _even_ideal_part)
+
+
+def _accepts(spec: DuplicationSpec, part) -> bool:
+    """True if ``part(spec.base)``, a kind's offset test, accepts the spec normalized to m(E) = 0.
+
+    (E, b) becomes (E - m(E), b + 2 m(E)), with the same double: the odd
+    offset m(E) + m(E) + b is in S by the sum condition, and the offset and
+    sum conditions and both kinds' E-only bounds are unchanged by it.  The
+    test gets E's mask and conductor and M - E, computed once.
+    """
+    s, e = spec.base, spec.ideal
+    lo = e.min_element
+    b = spec.odd_offset + 2 * lo
     x, c = e._mask, e._c - lo
-    e = x | -1 << c
-    k = canonical_ideal(s)
-    # K <= E - E, with m(K) = 0 and E - E inside E
-    if (k._mask | -1 << k._c) & ~_minus(e, e, m):
-        return False
-    return _even_ideal_part(s)(x, c, _minus(_maximal_mask(s), e, m), (b,)) == [b]
+    m_e = _minus(_maximal_mask(s), x | -1 << c, s.multiplicity)
+    return part(s)(x, c, m_e, (b,)) == [b]
 
 
 # -- search space -------------------------------------------------------------
@@ -397,24 +378,20 @@ def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal
     return tuple(_build(s, x, 0, fe + 1) for x, _ in _ideal_masks(s, fe))
 
 
-def _offsets(s: NumericalSemigroup, targets):
-    """For each f(E) = fe, the offsets b = t - 2 fe in S of the odd ``targets`` t, ascending."""
-    return lambda fe: [b for t in targets if (b := t - 2 * fe) in s]
-
-
-def _specs(s: NumericalSemigroup, offsets, walk, part):
+def _specs(s: NumericalSemigroup, offsets, need, close, part):
     """Yield the normalized specs over ``s`` that pass a two-part check.
 
     ``offsets(f(E))`` gives the offsets to try for each f(E), ascending, and
-    an f(E) left with none is not walked.  ``walk(f(E))`` gives the
-    (mask, M - E) pairs of the ideals it walks, as ``_ideal_masks_between``
-    does, and ``part(x, f(E) + 1, m_e, bs)`` the offsets of ``bs`` the ideal
-    of mask x and M - E ``m_e`` accepts, only ones with E + E + b <= S, so
-    the specs skip the constructor's checks.  E is built once, if any passed.
+    an f(E) left with none is not walked.  The walk at f(E) is
+    ``_ideal_masks_between(s, f(E), need(f(E)), close)``, the E-only part of
+    the check, and ``part(x, f(E) + 1, m_e, bs)`` the offsets of ``bs`` the
+    ideal of mask x and M - E ``m_e`` accepts, only ones with E + E + b <= S,
+    so the specs skip the constructor's checks.  E is built once, if any
+    passed.
     """
     for fe in (-1, *s.gaps):
         if bs := offsets(fe):
-            for x, m_e in walk(fe):
+            for x, m_e in _ideal_masks_between(s, fe, need(fe), close):
                 if accepted := part(x, fe + 1, m_e, bs):
                     e = _build(s, x, 0, fe + 1)
                     yield from (DuplicationSpec._of(s, e, b) for b in accepted)
@@ -426,7 +403,8 @@ def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
     Normalized means the ideal's smallest element is zero; every double of
     ``s`` is realized by exactly one such spec, whose offset is the double's
     least odd member.  The bound constrains the odd branch 2 f(E) + offset;
-    callers pass max_frobenius >= 2 f(S).
+    callers pass max_frobenius >= 2 f(S).  The specs come unsorted, in the
+    walk's order.
     """
     m = s.multiplicity
 
@@ -435,8 +413,11 @@ def candidate_specs(s: NumericalSemigroup, max_frobenius: int):
         ok = _minus(m_e, x | -1 << c, m)
         return [b for b in bs if ok >> b & 1]
 
-    # every offset b >= 1 meets 2 f(E) + b >= -1, since f(E) >= -1
-    return _specs(s, _offsets(s, range(-1, max_frobenius + 1, 2)), partial(_ideal_masks, s), part)
+    def offsets(fe):
+        return [b for b in range(1, max_frobenius - 2 * fe + 1, 2) if b in s]
+
+    # every ideal with smallest member 0 contains S and is closed under it
+    return _specs(s, offsets, lambda fe: s, s, part)
 
 
 def _certificate(t: NumericalSemigroup, spec: DuplicationSpec, kind: str) -> DoubleCertificate:
@@ -527,14 +508,17 @@ def enumerate_odd_doubles(s: NumericalSemigroup, max_frobenius: int) -> DoubleFa
     f = s.frobenius
     kmm, mk, window = _base_context(s)
     # 2 f(S) < f(T) = 2 f(E) + b <= max_frobenius
-    in_window = _offsets(s, [t for t in range(2 * f + 1, max_frobenius + 1, 2)
-                             if t - 2 * f in window])
+    targets = [t for t in range(2 * f + 1, max_frobenius + 1, 2) if t - 2 * f in window]
     least = f - kmm.min_element
 
     def offsets(fe):
-        return [b for b in in_window(fe) if b + fe - f in mk] if fe >= least else []
+        if fe < least:
+            return []
+        return [b for t in targets if (b := t - 2 * fe) in s and b + fe - f in mk]
 
-    specs = _specs(s, offsets, _odd_ideals(s), _odd_ideal_part(s))
+    # K - (M - M) <= tilde(E) = E + f(S) - f(E); tilde(E) <= K holds for
+    # every ideal, as x in E with f(E) - x in S would put f(E) in E + S <= E
+    specs = _specs(s, offsets, lambda fe: kmm.translate(fe - f), s, _odd_ideal_part(s))
     return _family(s, specs, KIND_ODD, False)
 
 
@@ -553,7 +537,11 @@ def enumerate_even_doubles(s: NumericalSemigroup) -> DoubleFamily:
     """
     if s.is_naturals or not classify(s).almost_symmetric:
         return DoubleFamily(s, (), True)
-    specs = _specs(s, _even_offsets(s), _even_ideals(s), _even_ideal_part(s))
+    # K <= E - E is E + K <= E, as 0 is in E, so E holds every sum of members of K
+    k = closure = canonical_ideal(s)
+    while (grown := closure + k) != closure:
+        closure = grown
+    specs = _specs(s, _even_offsets(s), lambda fe: closure, k, _even_ideal_part(s))
     return _family(s, specs, KIND_EVEN, True)
 
 

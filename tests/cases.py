@@ -97,6 +97,21 @@ def odd_offsets_by_composition(s, e, bs):
     return accepted if accepted and is_numerical_semigroup_set(e.tilde().reflection_dual()) else []
 
 
+def additive_closure(ideal):
+    """Every sum of members of ``ideal``, a relative ideal with smallest member 0, naively.
+
+    The listed members are closed under addition one round of pairwise sums
+    at a time; sums from the conductor on are members already.  The
+    reference the tests give the even walk for the closure of K, which the
+    even enumerator computes with the kernel's ``+``.
+    """
+    c = ideal.ideal_conductor
+    members = set(ideal.elements_below)
+    while grown := {x + y for x in members for y in members if x + y < c} - members:
+        members |= grown
+    return relative_ideal(ideal.ambient, sorted(members), c)
+
+
 def m_minus_e_by_definition(s, elements, c):
     """The members below max(c(S), 1) of M - E = {y >= 0 : y + E inside M}, naively.
 

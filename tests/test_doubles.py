@@ -41,8 +41,9 @@ from sgdouble.ideals import (
 )
 from sgdouble.semigroup import canonical_key
 
-from cases import (D1, D2, D3, E1, E2, F2, S1, S2, ST1, T1, T2, even_offsets_by_composition,
-                   m_minus_e_by_definition, odd_offsets_by_composition, unit_ideal)
+from cases import (D1, D2, D3, E1, E2, F2, S1, S2, ST1, T1, T2, additive_closure,
+                   even_offsets_by_composition, m_minus_e_by_definition,
+                   odd_offsets_by_composition, unit_ideal)
 
 NAT_SPEC = DuplicationSpec(NATURALS, naturals_ideal(NATURALS), 1)
 
@@ -254,6 +255,25 @@ def test_ideals_with_frobenius_matches_oracle():
             assert kernel == oracle.enum_relative_ideals(s, fe), (s, fe)
 
 
+def _walk(s, kind):
+    """For each f(E), the (mask, M - E) pairs of the ideals the ``kind`` search walks.
+
+    Each is ``_ideal_masks_between`` at the bounds its search passes: for
+    "odd" the sandwich's lower bound K - (M - M) + f(E) - f(S), closed under
+    S; for "even" the additive closure of K, built naively, closed under K;
+    for "all", as ``candidate_specs`` walks, S closed under S.
+    """
+    walk = doubles._ideal_masks_between
+    if kind == "odd":
+        kmm, f = _sandwich_bound(s), s.frobenius
+        return lambda fe: walk(s, fe, kmm.translate(fe - f), s)
+    if kind == "even":
+        k = canonical_ideal(s)
+        closure = additive_closure(k)
+        return lambda fe: walk(s, fe, closure, k)
+    return lambda fe: walk(s, fe, s, s)
+
+
 def test_enumerators_walk_only_ideals_inside_their_check_bounds():
     # every S with f(S) <= 11, at every fe: the odd enumerator walks exactly
     # the ideals inside K - (M - M) <= tilde(E) <= K, the even one exactly
@@ -272,13 +292,13 @@ def test_enumerators_walk_only_ideals_inside_their_check_bounds():
         k = canonical_ideal(s)
         m = maximal_ideal(s)
         kmm = k - (m - m)
-        even_ideals, even_part = doubles._even_ideals(s), doubles._even_ideal_part(s)
-        odd_part = doubles._odd_ideal_part(s)
+        even_ideals, even_part = _walk(s, "even"), doubles._even_ideal_part(s)
+        odd_ideals, odd_part = _walk(s, "odd"), doubles._odd_ideal_part(s)
         for fe in (-1, *range(1, f + 1)):
             pool = ideals_with_frobenius(s, fe)
             total += 2 * len(pool)
             assert all(e.tilde() <= k for e in pool), (s, fe)
-            odd = [(_build(s, x, 0, fe + 1), m_e) for x, m_e in doubles._odd_ideals(s)(fe)]
+            odd = [(_build(s, x, 0, fe + 1), m_e) for x, m_e in odd_ideals(fe)]
             assert sorted((e for e, _ in odd), key=lambda e: e.elements_below) == [
                 e for e in pool if kmm <= e.tilde() <= k], (s, fe)
             offsets = range(max(1, 2 * f + 1 - 2 * fe), 2 * f + 10 - 2 * fe, 2)
@@ -329,8 +349,7 @@ def test_walk_carries_m_minus_e():
     pairs = 0
     for s in bases:
         top = max(s.conductor, 1)
-        walks = (lambda fe: doubles._ideal_masks_between(s, fe, s, s),
-                 doubles._odd_ideals(s), doubles._even_ideals(s))
+        walks = [_walk(s, kind) for kind in ("all", "odd", "even")]
         for fe in (-1, *s.gaps):
             for walk in walks:
                 for x, m_e in walk(fe):
@@ -357,7 +376,7 @@ def test_even_offset_kernel_matches_the_ideal_composition():
     walked = accepted = 0
     for s in bases:
         f = s.frobenius
-        ideals, part = doubles._even_ideals(s), doubles._even_ideal_part(s)
+        ideals, part = _walk(s, "even"), doubles._even_ideal_part(s)
         offsets = doubles._even_offsets(s)
 
         def walk(fe, bs):
@@ -512,40 +531,64 @@ def test_odd_window_holds_every_oracle_odd_type_double():
 
 
 @pytest.mark.parametrize("gens, sizes", [
-    ((9, 10, 14, 15), (9, 90)),
-    ((11, 13, 15, 17, 19, 21), (0, 201)),
-    ((13, 14, 15, 17, 19, 23), (0, 90)),
+    ((9, 10, 14, 15), {"odd": (9, 90), "even": 59}),
+    ((11, 13, 15, 17, 19, 21), {"odd": (0, 201), "even": 0}),
+    ((13, 14, 15, 17, 19, 23), {"odd": (0, 90), "even": 0}),
+    ((7, 9), {"odd": (4, 20), "even": 129}),
 ])
 def test_odd_enumerator_matches_odd_check_on_midgenus_bases(gens, sizes):
-    # where the window prunes whole f(T) targets, past the oracle's reach:
-    # the family is every valid spec the odd check accepts, in canonical order
+    # past the oracle's reach, f(S) = 31, 31, 35 and 47, each kind's family
+    # is every valid spec its check accepts, in canonical order: the odd one
+    # up to 2 f(S) + 9 and 2 f(S) + 41, where the window prunes whole f(T)
+    # targets, and the even one under the even check's hypothesis
     s = NumericalSemigroup.from_generators(gens)
     f = s.frobenius
+
+    def expected(specs):
+        return sorted(((duplicate(spec), spec) for spec in specs),
+                      key=lambda pair: canonical_key(pair[0]))
+
     found = []
     for bound in (2 * f + 9, 2 * f + 41):
         specs = [spec for spec in candidate_specs(s, bound) if odd_double_check(spec)]
-        expected = sorted(((duplicate(spec), spec) for spec in specs),
-                          key=lambda pair: canonical_key(pair[0]))
         members = enumerate_odd_doubles(s, bound).members
-        assert [(c.double, c.spec) for c in members] == expected, bound
+        assert [(c.double, c.spec) for c in members] == expected(specs), bound
         found.append(len(members))
-    assert tuple(found) == sizes
+    assert tuple(found) == sizes["odd"]
+    specs = [spec for spec in candidate_specs(s, 2 * f)
+             if 2 * spec.ideal.frobenius + spec.odd_offset < 2 * f and even_double_check(spec)]
+    members = enumerate_even_doubles(s).members
+    assert [(c.double, c.spec) for c in members] == expected(specs)
+    assert len(members) == sizes["even"]
 
 
-def test_odd_window_leaves_nothing_to_walk_on_11_13_15_17_19_21(monkeypatch):
-    # W = {11, 13, 15, 17, 19, 21->}, so no f(T) <= 2 f(S) + 9 = 27 survives
-    s = NumericalSemigroup.from_generators((11, 13, 15, 17, 19, 21))
-    assert _odd_window(s) == relative_ideal(s, [11, 13, 15, 17, 19], 21)
-    walked = []
-    odd_ideals = doubles._odd_ideals
-
-    def counted(s):
-        ideals = odd_ideals(s)
-        return lambda fe: walked.extend(ideals(fe)) or ideals(fe)
-
-    monkeypatch.setattr(doubles, "_odd_ideals", counted)
-    assert enumerate_odd_doubles(s, 2 * s.frobenius + 9).members == ()
-    assert walked == []
+@pytest.mark.parametrize("gens, kind, window, walked", [
+    pytest.param((9, 10, 14, 15), "even", None, 138, id="T1-even"),
+    pytest.param((9, 10, 14, 15), "odd", ((0, 5, 9, 10, 14, 15, 18, 19, 20), 23), 8, id="T1-odd"),
+    pytest.param((10, 11), "even", None, 16795, id="10_11-even"),
+    # no f(T) <= 2 f(S) + 9 = 27 survives the window
+    pytest.param((11, 13, 15, 17, 19, 21), "odd", ((11, 13, 15, 17, 19), 21), 0,
+                 id="11_13_15_17_19_21-odd"),
+    # the window leaves f(T) = 2 f(S) + 9 = 47, and M - K one f(E) there:
+    # test_odd_offsets_in_m_minus_k_leave_one_ideal_to_walk_on_9_11_12_16_17
+    pytest.param((9, 11, 12, 16, 17), "odd", ((9,), 11), 1, id="9_11_12_16_17-odd"),
+])
+def test_enumerators_walk_pinned_ideal_counts(monkeypatch, gens, kind, window, walked):
+    # the ideals _ideal_masks_between returns over one enumeration: the even
+    # family, or the odd one up to 2 f(S) + 9, whose targets f(T) - 2 f(S)
+    # lie in the window W, pinned here from its definition
+    s = NumericalSemigroup.from_generators(gens)
+    if window:
+        assert _odd_window(s) == relative_ideal(s, *window)
+    walk = doubles._ideal_masks_between
+    pairs = []
+    monkeypatch.setattr(doubles, "_ideal_masks_between",
+                        lambda *args: pairs.extend(found := walk(*args)) or found)
+    if kind == "even":
+        enumerate_even_doubles(s)
+    else:
+        enumerate_odd_doubles(s, 2 * s.frobenius + 9)
+    assert len(pairs) == walked
 
 
 def test_odd_offsets_in_m_minus_k_leave_one_ideal_to_walk_on_9_11_12_16_17(monkeypatch):
@@ -556,22 +599,18 @@ def test_odd_offsets_in_m_minus_k_leave_one_ideal_to_walk_on_9_11_12_16_17(monke
     s = NumericalSemigroup.from_generators((9, 11, 12, 16, 17))
     f = s.frobenius
     k, m = canonical_ideal(s), maximal_ideal(s)
-    assert _odd_window(s) == relative_ideal(s, [9], 11)
     assert _sandwich_bound(s).min_element == 9
-    tried, walked = [], []
-    odd_ideals = doubles._odd_ideals
-
-    def counted(s):
-        ideals = odd_ideals(s)
-        return lambda fe: tried.append(fe) or walked.extend(ideals(fe)) or ideals(fe)
-
-    monkeypatch.setattr(doubles, "_odd_ideals", counted)
+    odd_ideals = _walk(s, "odd")
+    tried = []
+    walk = doubles._ideal_masks_between
+    monkeypatch.setattr(doubles, "_ideal_masks_between",
+                        lambda s, fe, *bounds: tried.append(fe) or walk(s, fe, *bounds))
     members = enumerate_odd_doubles(s, 2 * f + 9).members
-    assert tried == [10] and len(walked) == 1
+    assert tried == [10]
     assert [c.spec for c in members] == [
         spec for spec in candidate_specs(s, 2 * f + 9) if odd_double_check(spec)]
     assert len(members) == 1
-    without = sum(len(odd_ideals(s)(fe)) for fe in (10, 13, 15, 19))
+    without = sum(len(odd_ideals(fe)) for fe in (10, 13, 15, 19))
     assert without == 14
     for fe in (13, 15, 19):
         b = 2 * f + 9 - 2 * fe
