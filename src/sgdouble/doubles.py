@@ -14,7 +14,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .duplication import DuplicationSpec, duplicate, duplication_frobenius, half
+from .duplication import DuplicationSpec, duplicate, duplication_frobenius, half, normalize_params
 from .errors import BoundTooLarge, BoundTooSmall, HypothesisViolated, IsNaturals, NotAlmostSymmetric
 from .ideals import (
     RelativeIdeal,
@@ -84,13 +84,14 @@ class DoubleFamily:
 
 
 def symmetric_double_check(spec: DuplicationSpec) -> bool:
-    """True exactly when the duplication is symmetric.
+    """True exactly when the duplication is symmetric: when the ideal is canonical.
 
-    Holds iff twice the ideal's Frobenius number plus the offset exceeds
-    twice the base's, and the ideal is canonical.
+    The condition 2 f(E) + b > 2 f(S) is implied.  Write E = K + x, so
+    m(E) = x, as m(K) = 0, and f(E) = f(S) + x.  The least sum 2x + b of
+    E + E + b lies in S and is odd, hence positive, so
+    2 f(E) + b = 2 f(S) + 2x + b > 2 f(S).
     """
-    s, e, b = spec.base, spec.ideal, spec.odd_offset
-    return 2 * e.frobenius + b > 2 * s.frobenius and e.is_canonical()
+    return spec.ideal.is_canonical()
 
 
 @dataclass(frozen=True)
@@ -274,17 +275,14 @@ def even_double_check(spec: DuplicationSpec) -> bool:
 
 
 def _accepts(spec: DuplicationSpec, part) -> bool:
-    """True if ``part(spec.base)``, a kind's offset test, accepts the spec normalized to m(E) = 0.
+    """True if ``part(spec.base)``, a kind's offset test, accepts ``normalize_params(spec)``.
 
-    (E, b) becomes (E - m(E), b + 2 m(E)), with the same double: the odd
-    offset m(E) + m(E) + b is in S by the sum condition, and the offset and
-    sum conditions and both kinds' E-only bounds are unchanged by it.  The
-    test gets E's mask and conductor and M - E, computed once.
+    Normalizing keeps the double, and the offset and sum conditions and
+    both kinds' E-only bounds are unchanged by it.  The test gets E's mask
+    and conductor and M - E, computed once.
     """
-    s, e = spec.base, spec.ideal
-    lo = e.min_element
-    b = spec.odd_offset + 2 * lo
-    x, c = e._mask, e._c - lo
+    spec = normalize_params(spec)
+    s, x, c, b = spec.base, spec.ideal._mask, spec.ideal._c, spec.odd_offset
     m_e = _minus(_maximal_mask(s), x | -1 << c, s.multiplicity)
     return part(s)(x, c, m_e, (b,)) == [b]
 
@@ -361,12 +359,6 @@ def _list_order(mask: int) -> str:
     return bin(mask)[:1:-1].translate(_AS_LIST)
 
 
-def _ideal_masks(s: NumericalSemigroup, fe: int) -> list[tuple[int, int]]:
-    """The (mask, M - E) pairs of ``ideals_with_frobenius(s, fe)``, in its order."""
-    # every ideal with smallest member 0 contains S and is closed under it
-    return sorted(_ideal_masks_between(s, fe, s, s), key=lambda pair: _list_order(pair[0]))
-
-
 def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal, ...]:
     """All relative ideals of ``s`` with smallest element 0 and Frobenius ``fe``.
 
@@ -375,7 +367,9 @@ def ideals_with_frobenius(s: NumericalSemigroup, fe: int) -> tuple[RelativeIdeal
     only the ideals inside their checks' bounds.  fe values that admit no
     ideal yield the empty tuple.
     """
-    return tuple(_build(s, x, 0, fe + 1) for x, _ in _ideal_masks(s, fe))
+    # every ideal with smallest member 0 contains S and is closed under it
+    masks = sorted((x for x, _ in _ideal_masks_between(s, fe, s, s)), key=_list_order)
+    return tuple(_build(s, x, 0, fe + 1) for x in masks)
 
 
 def _specs(s: NumericalSemigroup, offsets, need, close, part):

@@ -50,11 +50,13 @@ def _check_classifiers(census, rng):
 
 def _sampled_ideals(s: NumericalSemigroup, rng: random.Random) -> list:
     """Up to 8 ideals drawn by ``rng`` from those of ``ideals_with_frobenius(s, fe)``
-    over fe = -1 and the gaps of ``s``, listed in that order.
+    over fe = -1 and the gaps of ``s``, in that order of fe and, within each
+    fe, in the order the walk returns them.
 
     The draw is made among their masks, and only the drawn ideals are built.
     """
-    pool = [(fe, x) for fe in (-1, *s.gaps) for x, _ in doubles_mod._ideal_masks(s, fe)]
+    # every ideal with smallest member 0 contains S and is closed under it
+    pool = [(fe, x) for fe in (-1, *s.gaps) for x, _ in doubles_mod._ideal_masks_between(s, fe, s, s)]
     return [_build(s, x, 0, fe + 1) for fe, x in rng.sample(pool, min(len(pool), 8))]
 
 

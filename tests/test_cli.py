@@ -4,10 +4,13 @@ import dataclasses
 import hashlib
 import io
 import json
+import pathlib
 import random
 import re
+import shlex
 import sys
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,13 +23,17 @@ from sgdouble import (
     enumerate_even_doubles,
     enumerate_odd_doubles,
     enumerate_symmetric_doubles,
+    even_double_check,
+    half_type_report,
     maximal_ideal,
     odd_double_check,
     oracle,
+    symmetric_double_check,
 )
 from sgdouble.cli import main
-from sgdouble.doubles import ideals_with_frobenius
+from sgdouble.doubles import _ideal_masks_between, ideals_with_frobenius
 from sgdouble.errors import SemigroupError
+from sgdouble.ideals import _build
 from sgdouble.verify import _sampled_ideals
 from sgdouble import cli, jsonio, verify
 
@@ -567,15 +574,19 @@ def test_verify_case_counts(capsys, argv, cases):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_verify_draws_the_ideals_of_the_full_pool(seed):
-    # ideal duality draws among the ideals' masks and builds only the drawn
-    # ones: the same ideals, drawn by the same rng, as from the full pool of
-    # built ideals, by f(E) and then by element list, base after base
+    # ideal duality draws among the walk's masks, in the walk's order, and
+    # builds only the drawn ones: the same ideals, drawn by the same rng, as
+    # from the pool of built ideals, by f(E) and then as the walk returns
+    # them, base after base.  The pool holds the ideals of
+    # ideals_with_frobenius, each once
     mine, ref = random.Random(seed), random.Random(seed)
     n = 0
     for f in (-1, *range(1, 10)):
         for s in oracle.enum_semigroups_with_frobenius(f):
-            pool = [e for fe in (-1, *s.gaps)
-                    for e in sorted(ideals_with_frobenius(s, fe), key=lambda e: e.elements_below)]
+            pool = [_build(s, x, 0, fe + 1) for fe in (-1, *s.gaps)
+                    for x, _ in _ideal_masks_between(s, fe, s, s)]
+            listed = [e for fe in (-1, *s.gaps) for e in ideals_with_frobenius(s, fe)]
+            assert len(pool) == len(listed) and set(pool) == set(listed), str(s)
             drawn = _sampled_ideals(s, mine)
             assert drawn == ref.sample(pool, min(len(pool), 8)), str(s)
             n += len(drawn)
@@ -611,6 +622,114 @@ def test_verify_reports_a_failing_kernel(capsys, monkeypatch, check, target, wro
     ]
     (record,) = [c for c in data["checks"] if not c["ok"]]
     assert failed == f"FAIL {check}: {record['cases']} cases ({record['detail']})"
+
+
+def _pf_outside_l(s):
+    return dataclasses.replace(classify(s), second_type_gaps=())
+
+
+def _type_off_parity(s):
+    rep = classify(s)
+    return dataclasses.replace(rep, type=rep.type + 1) if rep.almost_symmetric else rep
+
+
+def _almost_symmetry_flipped(s):
+    rep = classify(s)
+    return dataclasses.replace(
+        rep, symmetry_class="none" if rep.almost_symmetric else "almost-symmetric-proper")
+
+
+def _odd_family_emptied(s, max_frobenius):
+    return dataclasses.replace(enumerate_odd_doubles(s, max_frobenius), members=())
+
+
+def _half_type_count_failed(t):
+    return dataclasses.replace(half_type_report(t), count_ok=False)
+
+
+# one wrong answer per failure exit the kernel's correct answers never reach;
+# a wrong classification report is given to the kernel and the oracle alike,
+# so the classifier mismatch ahead of the exit passes.  ``alone`` marks the
+# patches no other check reads
+@pytest.mark.parametrize("check, detail, patches, alone", [
+    ("classifier-agreement", "round trip failed on",
+     {"sgdouble.verify.NumericalSemigroup":
+      types.SimpleNamespace(from_small_elements=lambda small, c: None)},
+     True),
+    ("classifier-agreement", "PF outside L on",
+     {"sgdouble.verify.classify": _pf_outside_l, "sgdouble.oracle.brute_classify": _pf_outside_l},
+     True),
+    ("classifier-agreement", "type/frobenius parity failed on",
+     {"sgdouble.verify.classify": _type_off_parity,
+      "sgdouble.oracle.brute_classify": _type_off_parity}, True),
+    ("ideal-duality", "dual mismatch for",
+     {"sgdouble.ideals.RelativeIdeal.reflection_dual": lambda e: e}, True),
+    # K - (M - E) is not E, though the dual is M - E by either route
+    ("ideal-duality", "double dual failed for",
+     {"sgdouble.verify.canonical_ideal": maximal_ideal,
+      "sgdouble.ideals.RelativeIdeal.reflection_dual": lambda e: maximal_ideal(e.ambient) - e},
+     False),
+    ("duplication-roundtrip", "round trip failed on",
+     {"sgdouble.verify.half": lambda t: None}, True),
+    ("duplication-roundtrip", "frobenius formula failed on",
+     {"sgdouble.verify.duplication_frobenius": lambda spec: -2}, True),
+    ("duplication-roundtrip", "normalization failed on",
+     {"sgdouble.verify.normalize_params": lambda spec: spec}, True),
+    ("theorem-checkers", "symmetric checker mismatch on",
+     {"sgdouble.doubles.symmetric_double_check": lambda spec: not symmetric_double_check(spec)},
+     True),
+    ("theorem-checkers", "even-type checker mismatch on",
+     {"sgdouble.doubles.even_double_check": lambda spec: not even_double_check(spec)}, True),
+    ("families-vs-oracle", "odd family mismatch on",
+     {"sgdouble.doubles.enumerate_odd_doubles": _odd_family_emptied}, True),
+    ("families-vs-oracle", "half-type relation failed on",
+     {"sgdouble.doubles.half_type_report": _half_type_count_failed}, True),
+    ("families-vs-oracle", "even-family emptiness wrong on",
+     {"sgdouble.verify.classify": _almost_symmetry_flipped}, False),
+])
+def test_verify_reports_each_failure_exit(capsys, monkeypatch, check, detail, patches, alone):
+    for target, wrong in patches.items():
+        monkeypatch.setattr(target, wrong)
+    code, out, err = run(capsys, "verify", "--max-frobenius", "4")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    (line,) = [line for line in lines if line.split(":")[0].split()[-1] == check]
+    assert re.match(rf"FAIL {check}: \d+ cases \({re.escape(detail)} ", line), line
+    if alone:
+        assert [line.split(":")[0] for line in lines] == [
+            ("FAIL " if name == check else "ok   ") + name for name in VERIFY_CHECKS
+        ]
+
+
+def _readme_transcripts():
+    """(argv, shown lines) of each ``$ sgdouble`` line in the README's CLI block.
+
+    The shown lines are those under the command, up to a ``...`` line or
+    the blank separator.
+    """
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].splitlines()
+    start = lines.index("```") + 1
+    transcripts, shown = [], False
+    for line in lines[start:lines.index("```", start)]:
+        if line.startswith("$ sgdouble "):
+            transcripts.append((shlex.split(line)[2:], []))
+            shown = True
+        elif not line or line == "...":
+            shown = False
+        elif shown:
+            transcripts[-1][1].append(line)
+    return transcripts
+
+
+def test_readme_cli_transcripts_run_as_shown(capsys):
+    # each command exits 0 and its stdout starts with the lines shown under it
+    transcripts = _readme_transcripts()
+    assert [len(shown) for _, shown in transcripts] == [3, 5, 0, 0, 0, 0, 0, 6]
+    for argv, shown in transcripts:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert out.splitlines()[:len(shown)] == shown, argv
 
 
 # Values past every limit, only where the CLI rejects them before any work.

@@ -62,6 +62,28 @@ class TestSymmetricCheck:
     def test_naturals(self):
         assert symmetric_double_check(NAT_SPEC)
 
+    def test_frobenius_clause_is_implied_by_canonicity(self):
+        # the check is canonicity alone: 2 f(E) + b > 2 f(S) holds on every
+        # valid spec with canonical E.  Checked on every normalized spec of
+        # each S with f <= 9 up to f(T) = 2 f(S) + 21, and on the specs
+        # decompose(T, b) of each T with f <= 9 at each odd b <= f(T) + 2
+        # with 2b in T, 152 of them not normalized
+        bases = [s for f in (-1, *range(1, 10)) for s in oracle.enum_semigroups_with_frobenius(f)]
+        normalized = [spec for s in bases for spec in candidate_specs(s, 2 * s.frobenius + 21)]
+        decomposed = [decompose(t, b) for t in bases
+                      for b in range(1, t.frobenius + 3, 2) if 2 * b in t]
+        canonical = 0
+        for spec in normalized + decomposed:
+            s, e, b = spec.base, spec.ideal, spec.odd_offset
+            clause = 2 * e.frobenius + b > 2 * s.frobenius
+            assert symmetric_double_check(spec) == (clause and e.is_canonical()), spec
+            if e.is_canonical():
+                assert clause, spec
+                canonical += 1
+        shifted = sum(spec.ideal.min_element != 0 for spec in decomposed)
+        assert (len(bases), len(normalized), len(decomposed), shifted, canonical) == (
+            58, 24031, 210, 152, 479)
+
 
 class TestOddConditions:
     def test_counterexample_passes_necessary_conditions(self):
