@@ -44,7 +44,7 @@ KIND_ODD = "odd-almost-symmetric"
 KIND_EVEN = "even-almost-symmetric"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoubleCertificate:
     """One double together with the spec producing it, its type and its symmetry class.
 
@@ -63,7 +63,7 @@ class DoubleCertificate:
         return classify(self.double)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoubleFamily:
     """Doubles of ``base``, pairwise distinct, in canonical order.
 
@@ -94,7 +94,7 @@ def symmetric_double_check(spec: DuplicationSpec) -> bool:
     return spec.ideal.is_canonical()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OddConditionReport:
     """The three conditions every almost symmetric odd-type double satisfies.
 
@@ -558,7 +558,7 @@ def witness_even_double(s: NumericalSemigroup) -> DuplicationSpec:
 # -- type relations between a double and its half ------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HalfTypeReport:
     """Type bookkeeping between a semigroup and its half."""
 

@@ -16,7 +16,7 @@ from .ideals import RelativeIdeal, _build
 from .semigroup import NumericalSemigroup, _check_conductor, _from_mask, _pair_violation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DuplicationSpec:
     """A validated duplication triple (base semigroup, ideal, odd offset).
 
@@ -35,9 +35,9 @@ class DuplicationSpec:
     def _of(cls, base: NumericalSemigroup, ideal: RelativeIdeal, odd_offset: int):
         """Unchecked construction from a triple known to be valid."""
         spec = object.__new__(cls)
-        object.__setattr__(spec, "base", base)
-        object.__setattr__(spec, "ideal", ideal)
-        object.__setattr__(spec, "odd_offset", odd_offset)
+        _set_base(spec, base)
+        _set_ideal(spec, ideal)
+        _set_odd_offset(spec, odd_offset)
         return spec
 
     def __post_init__(self):
@@ -53,6 +53,12 @@ class DuplicationSpec:
                 f"{e} + {e2} + {b} = {e + e2 + b} is not in the base semigroup",
                 witness=witness,
             )
+
+
+# Stores into a spec's slots, past the frozen __setattr__, for ``_of``.
+_set_base = DuplicationSpec.base.__set__
+_set_ideal = DuplicationSpec.ideal.__set__
+_set_odd_offset = DuplicationSpec.odd_offset.__set__
 
 
 def sum_violation(s: NumericalSemigroup, e: RelativeIdeal, b: int):

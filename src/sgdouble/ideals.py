@@ -35,6 +35,9 @@ from .semigroup import (
     _minus,
     _pair_violation,
     _reverse,
+    _set_c,
+    _set_lo,
+    _set_mask,
     _UpSet,
 )
 
@@ -50,9 +53,10 @@ class RelativeIdeal(_UpSet):
     :func:`relative_ideal` to validate the ideal property E + S <= E for
     untrusted input.  Ideals the kernel computes itself are canonical by
     construction and skip both checks.  Besides the set core, an ideal
-    stores only ``ambient``, set right after the core.
+    stores only ``ambient``.
     """
 
+    __slots__ = ("ambient",)
     ambient: NumericalSemigroup
 
     def __init__(self, ambient: NumericalSemigroup, elements_below: Iterable[int],
@@ -67,10 +71,10 @@ class RelativeIdeal(_UpSet):
                 raise ValueError("listed elements must lie strictly below the conductor")
         lo = elems[0] if elems else c
         _check_span(lo, c)
-        object.__setattr__(self, "_lo", lo)
-        object.__setattr__(self, "_mask", _mask_of(elems, lo))
-        object.__setattr__(self, "_c", c)
-        object.__setattr__(self, "ambient", ambient)
+        _set_lo(self, lo)
+        _set_mask(self, _mask_of(elems, lo))
+        _set_c(self, c)
+        _set_ambient(self, ambient)
 
     # -- basic queries ------------------------------------------------------
 
@@ -95,7 +99,7 @@ class RelativeIdeal(_UpSet):
     def translate(self, x: int) -> "RelativeIdeal":
         """The shifted ideal E + x."""
         e = RelativeIdeal._of(self._lo + x, self._mask, self._c + x)
-        object.__setattr__(e, "ambient", self.ambient)
+        _set_ambient(e, self.ambient)
         return e
 
     def __add__(self, other):
@@ -154,6 +158,11 @@ class RelativeIdeal(_UpSet):
         return _build(self.ambient, _reverse(holes, span), f - self._c + 1, f - self._lo + 1)
 
 
+# Stores into an ideal's ambient slot, past the frozen __setattr__, as
+# semigroup._set_lo does into its core's.
+_set_ambient = RelativeIdeal.ambient.__set__
+
+
 def _check_span(lo: int, c: int) -> None:
     # E + F, E - F, a translate and a dual span at most an operand's
     # [m, c), so capping the ideals built from input caps every ideal
@@ -168,7 +177,7 @@ def _build(ambient: NumericalSemigroup, mask: int, lo: int, bound: int) -> Relat
     For results known to be ideals.
     """
     e = RelativeIdeal._of(*_from_mask(mask, lo, bound))
-    object.__setattr__(e, "ambient", ambient)
+    _set_ambient(e, ambient)
     return e
 
 

@@ -32,8 +32,8 @@ DOUBLE_LIMIT = 40
 
 def _members(s: NumericalSemigroup, hi: int) -> list[int]:
     # local membership loop over the raw representation
-    small = set(s.small_elements)
-    return [x for x in range(hi) if x in small or x >= s.conductor]
+    small, c = set(s.small_elements), s.conductor
+    return [x for x in range(hi) if x in small or x >= c]
 
 
 def enum_semigroups_with_frobenius(frob: int) -> list[NumericalSemigroup]:
@@ -128,7 +128,7 @@ def brute_classify(s: NumericalSemigroup) -> ClassificationReport:
     mem = set(_members(s, 2 * c + 2))
     gaps = tuple(x for x in range(c) if x not in mem)
     nonzero = [m for m in mem if 0 < m <= c]
-    pf = tuple(x for x in gaps if all((x + m) in mem for m in nonzero))
+    pf = tuple(x for x in gaps if mem.issuperset(map(x.__add__, nonzero)))
     ell = tuple(x for x in gaps if (f - x) not in mem)
     almost = set(ell) <= set(pf)
     if not ell:
@@ -172,11 +172,11 @@ def _iter_doubles(s: NumericalSemigroup, max_frobenius: int) -> list[NumericalSe
             small = sorted([n for n in evens if n <= f_t] + [o for o in chosen if o <= f_t])
             out.append(NumericalSemigroup.from_small_elements(small, f_t + 1))
             return
-        if x in half_members and all((x + o) // 2 in half_members for o in chosen):
+        if x in half_members and half_members.issuperset([(x + o) // 2 for o in chosen]):
             chosen.append(x)
             place(x + 2, last_missing)
             chosen.pop()
-        if all((x - o) // 2 not in half_members for o in chosen):  # else o + 2m forces x
+        if half_members.isdisjoint([(x - o) // 2 for o in chosen]):  # else o + 2m forces x
             place(x + 2, x)
 
     place(1, -1)

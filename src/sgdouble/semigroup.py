@@ -187,14 +187,16 @@ def _pf_type(pf: int) -> int:
     return pf.bit_count() or 1
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class _UpSet:
     """A set of integers, bounded below, that holds every integer from its conductor on.
 
     The set core of semigroups and ideals, and their only stored data: the
     smallest member ``_lo``, ``_mask`` with bit x - ``_lo`` set for each
     member x below the conductor, and the conductor ``_c``.  Equality and
-    hashing compare these integers.
+    hashing compare these integers.  The class is slotted: a value has no
+    instance dict, and a subclass declares its own ``__slots__`` by hand,
+    as ``slots=True`` would declare these three again on Python 3.10.
     """
 
     _lo: int
@@ -205,11 +207,9 @@ class _UpSet:
     def _of(cls, lo: int, mask: int, c: int):
         """Unchecked construction from a canonical core."""
         u = object.__new__(cls)
-        # one field at a time, always in this order, so that instance dicts
-        # share their keys
-        object.__setattr__(u, "_lo", lo)
-        object.__setattr__(u, "_mask", mask)
-        object.__setattr__(u, "_c", c)
+        _set_lo(u, lo)
+        _set_mask(u, mask)
+        _set_c(u, c)
         return u
 
     @property
@@ -239,6 +239,13 @@ class _UpSet:
         return "{" + ", ".join(map(str, (*self._listed, self._c))) + "->}"
 
 
+# Stores into a core's slots, past the frozen __setattr__: for the
+# constructors, which build a value once and never change it.
+_set_lo = _UpSet._lo.__set__
+_set_mask = _UpSet._mask.__set__
+_set_c = _UpSet._c.__set__
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class NumericalSemigroup(_UpSet):
     """Canonical, immutable numerical semigroup.
@@ -251,6 +258,7 @@ class NumericalSemigroup(_UpSet):
     member ``_lo`` is always 0.
     """
 
+    __slots__ = ()
     small_elements = property(attrgetter("_listed"))
     conductor = property(attrgetter("_c"))
     _shown = ("small_elements", "conductor")  # the fields repr lists
@@ -276,9 +284,9 @@ class NumericalSemigroup(_UpSet):
                 )
             if elems[-1] >= c:
                 raise ValueError("small elements must lie strictly below the conductor")
-        object.__setattr__(self, "_lo", 0)
-        object.__setattr__(self, "_mask", _mask_of(elems))
-        object.__setattr__(self, "_c", c)
+        _set_lo(self, 0)
+        _set_mask(self, _mask_of(elems))
+        _set_c(self, c)
 
     # -- construction -----------------------------------------------------
 
@@ -424,7 +432,7 @@ def canonical_key(s: NumericalSemigroup) -> tuple:
     return (s.conductor, s.small_elements)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassificationReport:
     """Symmetry classification of one semigroup.
 
@@ -459,15 +467,16 @@ def classify(s: NumericalSemigroup) -> ClassificationReport:
     Almost symmetry is decided by its definition, L(S) inside PF(S); the
     tests hold the reflection and pairing characterizations equal to it.
     """
-    ell = s._second_type_mask
+    gaps, f = s._gap_mask, s.frobenius
+    ell = gaps & _reverse(gaps, s._c)  # as _second_type_mask, from the gaps read once
     pf = s._pf_among(ell)
     return ClassificationReport(
-        frobenius=s.frobenius,
-        gaps=s.gaps,
+        frobenius=f,
+        gaps=_bits(gaps),
         second_type_gaps=_bits(ell),
         pseudo_frobenius=_pf_numbers(pf),
         type=_pf_type(pf),
-        symmetry_class=_symmetry_class(s.frobenius, pf, ell),
+        symmetry_class=_symmetry_class(f, pf, ell),
     )
 
 

@@ -11,7 +11,14 @@ from itertools import combinations
 
 from sgdouble import NumericalSemigroup, naturals_ideal, relative_ideal
 from sgdouble.ideals import canonical_ideal, is_numerical_semigroup_set, maximal_ideal
-from sgdouble.semigroup import _reverse
+from sgdouble.semigroup import (
+    ALMOST_SYMMETRIC_PROPER,
+    NOT_ALMOST_SYMMETRIC,
+    PSEUDO_SYMMETRIC,
+    SYMMETRIC,
+    ClassificationReport,
+    _reverse,
+)
 
 S1 = NumericalSemigroup.from_generators([3, 5, 7])                 # {0, 3, 5->}
 S2 = NumericalSemigroup.from_small_elements([0, 4, 5, 6], 8)       # symmetric
@@ -29,6 +36,14 @@ E3 = relative_ideal(S1, [0], 3)         # {0, 3->}
 E4 = relative_ideal(S1, [0, 1], 3)      # {0, 1, 3->}
 K1 = relative_ideal(S1, [0, 2, 3], 5)   # standard canonical ideal of S1
 F2 = relative_ideal(S2, [2, 3, 4], 6)   # {2, 3, 4, 6->} over S2
+
+
+def slots_along_mro(v):
+    """The slot names that ``v``'s type and its bases declare.
+
+    With no instance dict, these are all that ``v`` can store.
+    """
+    return {name for k in type(v).__mro__ for name in vars(k).get("__slots__", ())}
 
 
 def unit_ideal(s):
@@ -165,6 +180,32 @@ def duplicate_by_definition(spec):
 def _members_below(s, hi):
     small = set(s.small_elements)
     return [x for x in range(hi) if x in small or x >= s.conductor]
+
+
+def classify_by_loops(s):
+    """The definitional classification, each membership test one integer at a time.
+
+    The same definitions as ``oracle.brute_classify``, which tests the PF
+    condition as one set operation: the reference the tests hold it to.
+    """
+    if s.conductor == 0:
+        return ClassificationReport(-1, (), (), (-1,), 1, SYMMETRIC)
+    c = s.conductor
+    f = c - 1
+    mem = set(_members_below(s, 2 * c + 2))
+    gaps = tuple(x for x in range(c) if x not in mem)
+    nonzero = [m for m in mem if 0 < m <= c]
+    pf = tuple(x for x in gaps if all((x + m) in mem for m in nonzero))
+    ell = tuple(x for x in gaps if (f - x) not in mem)
+    if not ell:
+        cls = SYMMETRIC
+    elif f % 2 == 0 and ell == (f // 2,):
+        cls = PSEUDO_SYMMETRIC
+    elif set(ell) <= set(pf):
+        cls = ALMOST_SYMMETRIC_PROPER
+    else:
+        cls = NOT_ALMOST_SYMMETRIC
+    return ClassificationReport(f, gaps, ell, pf, len(pf), cls)
 
 
 def ideals_by_subsets(s, fe):

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -43,7 +45,7 @@ from sgdouble.semigroup import canonical_key
 
 from cases import (D1, D2, D3, E1, E2, F2, S1, S2, ST1, T1, T2, additive_closure,
                    even_offsets_by_composition, m_minus_e_by_definition,
-                   odd_offsets_by_composition, unit_ideal)
+                   odd_offsets_by_composition, slots_along_mro, unit_ideal)
 
 NAT_SPEC = DuplicationSpec(NATURALS, naturals_ideal(NATURALS), 1)
 
@@ -749,7 +751,8 @@ def test_certificates_are_consistent():
             for cert in fam.members:
                 # the type and class are read from the masks, and no
                 # invariant is kept on a member
-                assert set(vars(cert.double)) <= {"_lo", "_mask", "_c"}, cert
+                assert not hasattr(cert.double, "__dict__"), cert
+                assert slots_along_mro(cert.double) == {"_lo", "_mask", "_c"}, cert
                 # a certificate is the one its fields construct
                 built = DoubleCertificate(*(getattr(cert, f.name) for f in dataclasses.fields(cert)))
                 assert cert == built and hash(cert) == hash(built), cert
@@ -757,3 +760,25 @@ def test_certificates_are_consistent():
                 assert (cert.type, cert.symmetry_class) == (rep.type, rep.symmetry_class), cert
                 members += 1
     assert members == 2227
+
+
+def test_values_pickle_copy_and_stay_frozen():
+    # every value and record is a slotted frozen dataclass: it comes back
+    # equal, with an equal hash, through each pickle protocol and deepcopy,
+    # and refuses assignment to each of its fields
+    fam = enumerate_odd_doubles(S1, 2 * S1.frobenius + 9)
+    cert = fam.members[-1]
+    values = [NATURALS, cert.double, cert.spec.ideal, canonical_ideal(S1).translate(-3),
+              cert.spec, cert, fam, classify(cert.double), half_type_report(cert.double),
+              odd_necessary_conditions(cert.spec)]
+    assert {type(v).__name__ for v in values} == {
+        "NumericalSemigroup", "RelativeIdeal", "DuplicationSpec", "DoubleCertificate",
+        "DoubleFamily", "ClassificationReport", "HalfTypeReport", "OddConditionReport"}
+    for v in values:
+        copies = [pickle.loads(pickle.dumps(v, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in (*copies, copy.deepcopy(v)):
+            assert type(back) is type(v) and back == v and hash(back) == hash(v), v
+        for field in dataclasses.fields(v):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(v, field.name, getattr(v, field.name))

@@ -2,10 +2,12 @@ import pytest
 
 from sgdouble import NATURALS, NumericalSemigroup, classify, duplicate, half, witness_even_double
 from sgdouble import oracle
+from sgdouble.doubles import candidate_specs
 from sgdouble.errors import BoundTooLarge, InvalidFrobenius
 from sgdouble.semigroup import canonical_key
 
-from cases import D1, D2, D3, E2, E3, E4, S1, S2, criteria, doubles_by_subsets, ideals_by_subsets
+from cases import (D1, D2, D3, E2, E3, E4, S1, S2, classify_by_loops, criteria, doubles_by_subsets,
+                   ideals_by_subsets)
 
 
 def _census(top):
@@ -127,6 +129,18 @@ def test_brute_classify_agrees_with_kernel():
             ref = oracle.brute_classify(s)
             assert ref == classify(s)
             assert set(criteria(s).values()) == {ref.almost_symmetric}, (s, criteria(s))
+
+
+def test_brute_classify_matches_loop_reference():
+    # the PF test as one set operation against a loop per integer, on every
+    # S with f(S) <= 12 and the doubles verify's theorem check builds from
+    # every S with f(S) <= 6
+    census = _census(12)
+    doubles = [duplicate(spec) for s in census if s.frobenius <= 6
+               for spec in candidate_specs(s, 2 * s.frobenius + 5)]
+    assert (len(census), len(doubles)) == (171, 410)
+    for s in census + doubles:
+        assert oracle.brute_classify(s) == classify_by_loops(s), s
 
 
 def test_search_outputs_revalidate():

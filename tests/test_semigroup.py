@@ -27,7 +27,7 @@ from sgdouble.errors import (
 )
 from sgdouble.ideals import RelativeIdeal
 
-from cases import D3, S1, S2, T1, T2, criteria, semigroup_by_generators
+from cases import D3, S1, S2, T1, T2, criteria, semigroup_by_generators, slots_along_mro
 
 
 class TestFromGenerators:
@@ -282,7 +282,9 @@ def test_str_caches_no_member_tuple():
             assert set(v.second_type_gaps) <= set(v.gaps)
             assert v.minimal_generators
         # the set core and an ideal's ambient, even after the generators are read
-        assert set(vars(v)) <= {"_lo", "_mask", "_c", "ambient"}, v
+        core = {"_lo", "_mask", "_c"}
+        assert not hasattr(v, "__dict__"), v
+        assert slots_along_mro(v) == (core | {"ambient"} if isinstance(v, RelativeIdeal) else core), v
 
 
 # -- bitmask invariants against the definitions --------------------------------
